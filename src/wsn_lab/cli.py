@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import logging
@@ -211,6 +212,15 @@ def _group_by_strategy(summaries):
     return ordered, groups
 
 
+def _seed_means(runs, fi: int) -> tuple:
+    """Seed means of (alive count, SoC variance, cumulative reward) at the
+    fi-th table fraction."""
+    n = len(runs)
+    return (sum(r.alive_at_fractions[fi] for r in runs) / n,
+            sum(r.variance_at_fractions[fi] for r in runs) / n,
+            sum(r.reward_at_fractions[fi] for r in runs) / n)
+
+
 def compare_table(summaries) -> str:
     """Fixed-width table of alive count, SoC variance, and cumulative reward
     per strategy at each sampled time fraction, averaged over seeds."""
@@ -218,18 +228,6 @@ def compare_table(summaries) -> str:
         raise metrics.EmptySeries("no summaries to compare")
     ordered, groups = _group_by_strategy(summaries)
     fractions = summaries[0].table_fractions
-
-    def col(value):
-        runs = groups[value]
-        rows = []
-        for fi in range(len(fractions)):
-            alive = sum(r.alive_at_fractions[fi] for r in runs) / len(runs)
-            var = sum(r.variance_at_fractions[fi] for r in runs) / len(runs)
-            rew = sum(r.reward_at_fractions[fi] for r in runs) / len(runs)
-            rows.append((alive, var, rew))
-        return rows
-
-    columns = {value: col(value) for value in ordered}
     header = "time% |"
     rule = "------+"
     for value in ordered:
@@ -241,7 +239,7 @@ def compare_table(summaries) -> str:
     for fi, frac in enumerate(fractions):
         line = f"{int(frac * 100):>5} |"
         for value in ordered:
-            alive, var, rew = columns[value][fi]
+            alive, var, rew = _seed_means(groups[value], fi)
             line += f"{alive:>10.1f}{var:>8.4f}{rew:>9.1f} |"
         lines.append(line)
     return "\n".join(lines)
@@ -250,9 +248,8 @@ def compare_table(summaries) -> str:
 def write_comparison_csv(path, summaries) -> None:
     ordered, groups = _group_by_strategy(summaries)
     fractions = summaries[0].table_fractions
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         header = ["time_pct"]
         for value in ordered:
             header += [f"{value}_alive", f"{value}_variance", f"{value}_reward"]
@@ -260,13 +257,7 @@ def write_comparison_csv(path, summaries) -> None:
         for fi, frac in enumerate(fractions):
             row = [int(frac * 100)]
             for value in ordered:
-                runs = groups[value]
-                row.append(repr(sum(r.alive_at_fractions[fi]
-                                    for r in runs) / len(runs)))
-                row.append(repr(sum(r.variance_at_fractions[fi]
-                                    for r in runs) / len(runs)))
-                row.append(repr(sum(r.reward_at_fractions[fi]
-                                    for r in runs) / len(runs)))
+                row.extend(repr(v) for v in _seed_means(groups[value], fi))
             writer.writerow(row)
 
 
@@ -295,10 +286,9 @@ def write_figdata(out_dir: Path, summaries) -> None:
             series_map[(value, s.seed)] = series
             horizon = max(horizon, len(series))
 
-    import csv as _csv
     for fig, extract in _FIGURES.items():
         with open(out_dir / f"figdata_{fig}.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["round"] + ordered)
             for t in range(horizon):
                 row = [t + 1]
@@ -312,7 +302,7 @@ def write_figdata(out_dir: Path, summaries) -> None:
                 writer.writerow(row)
 
     with open(out_dir / "figdata_success_rate.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["round"] + ordered)
         running = {value: [0.0] * len(groups[value]) for value in ordered}
         for t in range(horizon):

@@ -57,15 +57,6 @@ class ClusterHierarchy:
                     role = k + 1
         return role
 
-    def parent_of(self, node_id: int) -> Optional[int]:
-        """The head this node reports to; None for the final transmitter."""
-        parent = None
-        for stage in self.stages:
-            for c in stage:
-                if node_id in c.member_ids and c.head_id != node_id:
-                    parent = c.head_id
-        return parent
-
     def all_heads(self) -> set:
         out = set()
         for stage in self.stages:
@@ -92,16 +83,16 @@ class ClusterHierarchy:
         return parents
 
 
-def form_clusters(participant_ids: list, topology: Topology, target_size: int,
-                  rng=None) -> list:
+def form_clusters(participant_ids: list, topology: Topology,
+                  target_size: int) -> list:
     """Partition participants into K = ceil(n / target_size) balanced clusters.
 
     Farthest-point seeding over the static distance matrix, greedy
     distance-ordered assignment capped at ceil(n / K) members per cluster,
     then k-medoids refinement until the medoid set stops moving, which pulls
     the centers into the population mass and keeps stray links short.
-    Deterministic: with no rng the first seed is the lowest id, and all ties
-    break on (distance, node id, cluster index).
+    Deterministic: the first seed is the lowest id, and all ties break on
+    (distance, node id, cluster index).
     """
     if target_size < 2:
         raise ValueError("target_size must be >= 2")
@@ -114,10 +105,7 @@ def form_clusters(participant_ids: list, topology: Topology, target_size: int,
         return [Cluster(id=0, member_ids=list(ids))]
 
     dist = topology.distance
-    if rng is None:
-        centers = [ids[0]]
-    else:
-        centers = [ids[rng.randrange(n)]]
+    centers = [ids[0]]
     while len(centers) < k:
         best = None
         for cand in ids:
@@ -198,7 +186,7 @@ def select_head_by_energy(cluster: Cluster, nodes: list) -> int:
 def build_hierarchy(nodes: list, topology: Topology,
                     head_selector: Callable[[Cluster], int],
                     *, stage_count: int, stage_target_sizes,
-                    rng=None, stage1_clusters: Optional[list] = None) -> ClusterHierarchy:
+                    stage1_clusters: Optional[list] = None) -> ClusterHierarchy:
     """Contract alive nodes through up to stage_count clustering stages.
 
     Each stage clusters the previous stage's heads; the last stage collapses
@@ -221,7 +209,7 @@ def build_hierarchy(nodes: list, topology: Topology,
             idx = stage_num - 1
             sizes = stage_target_sizes
             target = sizes[idx] if idx < len(sizes) else sizes[-1]
-            clusters = form_clusters(participants, topology, target, rng)
+            clusters = form_clusters(participants, topology, target)
         for c in clusters:
             if c.head_id is None:
                 c.head_id = head_selector(c)

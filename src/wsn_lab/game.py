@@ -113,12 +113,11 @@ def join_utility(follower_id: int, head_id: int, nodes: list,
 
 def best_response_dynamics(nodes: list, topology: Topology,
                            weights: UtilityWeights, *, initial_energy: float,
-                           max_iters: int = 50, rng=None,
+                           max_iters: int = 50,
                            neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> BestResponseResult:
     """Iterate best responses in ascending id order from an all-heads start.
 
-    Deterministic for a given set of ids, energies, positions, and weights;
-    the rng argument is accepted for interface symmetry but never consulted.
+    Deterministic for a given set of ids, energies, positions, and weights.
     A node with no reachable head must stand, and a head keeps standing
     while anyone follows it. Standing is judged by own fitness alone while
     joining pays a congestion term that grows with the head's follower

@@ -39,7 +39,7 @@ class LearningParams:
     epsilon_decay_rate: float = 0.05
     adaptive_learning_rate: bool = True
     replay_capacity: int = 50
-    replay_batch: int = 64
+    replay_batch: int = 50
     prune_min_visits: int = 0          # 0 disables pruning
     prune_window_rounds: int = 50
     shared_table: bool = True
@@ -55,8 +55,8 @@ class LearningParams:
             raise ValueError("epsilon_decay_rate must be non-negative")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
-        if self.replay_batch < 0:
-            raise ValueError("replay_batch must be >= 0")
+        if not (0 <= self.replay_batch <= self.replay_capacity):
+            raise ValueError("replay_batch must be in [0, replay_capacity]")
         if self.prune_min_visits < 0:
             raise ValueError("prune_min_visits must be >= 0")
         if self.prune_window_rounds < 1:

@@ -10,12 +10,12 @@ from typing import Optional
 
 import numpy as np
 
+from .strategies import RL_BEARING
+
 
 class EmptySeries(Exception):
     """Raised when a summary is requested for a run with no recorded rounds."""
 
-
-RL_BEARING_VALUES = frozenset({"full-rl", "gt-rl", "rl-gt"})
 
 SOC_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 TABLE_FRACTIONS = tuple(round(f * 0.1, 1) for f in range(10))
@@ -68,7 +68,7 @@ class RunSummary:
 
 def _success_for(strategy_value: str, outcome) -> bool:
     all_delivered = all(outcome.delivered.values())
-    if strategy_value in RL_BEARING_VALUES:
+    if strategy_value in RL_BEARING:
         return outcome.reward is not None and outcome.reward.total == 12
     if strategy_value == "full-gt":
         return (outcome.reward is not None
@@ -131,7 +131,7 @@ def summarize(series, config, strategy_value: str, *,
     soc_at = {f: series[_sample_index(f, planned, n)].mean_soc_pct
               for f in SOC_FRACTIONS}
     last = series[-1]
-    if strategy_value in RL_BEARING_VALUES:
+    if strategy_value in RL_BEARING:
         convergence = find_convergence_round(
             series, convergence_tolerance, convergence_window)
     else:

@@ -70,9 +70,6 @@ class SensorNode:
     def alive(self) -> bool:
         return self.energy > 0.0
 
-    def pos(self) -> tuple:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class EnergyModel:

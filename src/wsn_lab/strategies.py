@@ -10,7 +10,7 @@ hop-count paths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -18,8 +18,8 @@ import numpy as np
 
 from .clustering import (Cluster, ClusterHierarchy, NoAliveNodes,
                          build_hierarchy, form_clusters, select_head_by_energy)
-from .game import (BestResponseResult, UtilityWeights, best_response_dynamics,
-                   profile_to_clusters, select_head_by_utility)
+from .game import (UtilityWeights, best_response_dynamics, profile_to_clusters,
+                   select_head_by_utility)
 from .learning import (ALL_ACTIONS, AgentState, Experience, LearningParams,
                        QTable, ReplayBuffer, RlAction, compute_round_reward,
                        decay_epsilon, observe_state, prune, q_update,
@@ -79,13 +79,6 @@ class SimWorld:
     def alive_count(self) -> int:
         return sum(1 for nd in self.nodes if nd.alive)
 
-    def max_alive_energy(self) -> float:
-        top = 0.0
-        for nd in self.nodes:
-            if nd.energy > top:
-                top = nd.energy
-        return top
-
     def energy_snapshot(self) -> dict:
         return {nd.id: nd.energy for nd in self.nodes if nd.alive}
 
@@ -130,18 +123,20 @@ def _require_alive(world: SimWorld) -> list:
     return alive
 
 
+def _observe(world: SimWorld, node_id: int, stage_level: int,
+             counts: np.ndarray) -> AgentState:
+    cfg = world.config
+    return observe_state(
+        world.nodes[node_id], world.topology, stage_level, world.nodes,
+        initial_energy=cfg.initial_energy,
+        network_max_energy=cfg.initial_energy, stage_cap=cfg.stage_count,
+        neighbor_count=int(counts[node_id]))
+
+
 def _observe_all(world: SimWorld, pool: LearnerPool) -> dict:
     counts = world.alive_neighbor_counts()
-    cfg = world.config
-    e_max = cfg.initial_energy
-    states = {}
-    for i in world.alive_ids():
-        states[i] = observe_state(
-            world.nodes[i], world.topology, pool.last_roles.get(i, 0),
-            world.nodes, initial_energy=cfg.initial_energy,
-            network_max_energy=e_max, stage_cap=cfg.stage_count,
-            neighbor_count=int(counts[i]))
-    return states
+    return {i: _observe(world, i, pool.last_roles.get(i, 0), counts)
+            for i in world.alive_ids()}
 
 
 def _select_actions(pool: LearnerPool, states: dict, epsilon: float, rng,
@@ -153,8 +148,7 @@ def _select_actions(pool: LearnerPool, states: dict, epsilon: float, rng,
     return actions
 
 
-def _rl_head_selector(pool: LearnerPool, states: dict, actions: dict,
-                      nodes: list):
+def _rl_head_selector(actions: dict, nodes: list):
     """Learned policies decide who volunteers; the cluster protocol then
     seats the best-charged volunteer. With no volunteers the energy argmax
     serves, which no declared choice can contradict."""
@@ -175,6 +169,18 @@ def _utility_head_selector(world: SimWorld, weights: UtilityWeights):
     return pick
 
 
+def _equilibrium_clusters(world: SimWorld, weights: UtilityWeights,
+                          keep_heads: bool) -> list:
+    """Stage-1 clusters from the best-response equilibrium; its heads are
+    seated only when keep_heads is set."""
+    result = best_response_dynamics(
+        world.nodes, world.topology, weights,
+        initial_energy=world.config.initial_energy)
+    return [Cluster(id=k, member_ids=members,
+                    head_id=head if keep_heads else None)
+            for k, (members, head) in enumerate(profile_to_clusters(result))]
+
+
 def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy):
     """Charge one aggregated packet per alive node up the hierarchy.
 
@@ -186,16 +192,8 @@ def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy):
     model = world.energy_model
     bits = cfg.packet_size_bits
     dist = world.topology.distance
-    parents = {}
-    for stage in hierarchy.stages:
-        for c in stage:
-            for m in c.member_ids:
-                if m != c.head_id:
-                    parents[m] = c.head_id
-    roles = {}
-    for k, stage in enumerate(hierarchy.stages):
-        for c in stage:
-            roles[c.head_id] = k + 1
+    parents = hierarchy.parent_map()
+    roles = hierarchy.role_map()
 
     stage_total = len(hierarchy.stages)
     costs = {}
@@ -241,19 +239,13 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
            round_index: int) -> float:
     """Feed the shared round reward back to every surviving participant."""
     params = pool.params
-    cfg = world.config
     new_roles = hierarchy.role_map()
-    e_max = cfg.initial_energy
     counts = world.alive_neighbor_counts()
     worst = 0.0
     for i in sorted(states):
-        node = world.nodes[i]
-        if not node.alive:
+        if not world.nodes[i].alive:
             continue
-        next_state = observe_state(
-            node, world.topology, new_roles.get(i, 0), world.nodes,
-            initial_energy=cfg.initial_energy, network_max_energy=e_max,
-            stage_cap=cfg.stage_count, neighbor_count=int(counts[i]))
+        next_state = _observe(world, i, new_roles.get(i, 0), counts)
         exp = Experience(states[i], actions[i], reward_total, next_state)
         agent = pool.agents[i]
         delta = q_update(agent.table, exp, params)
@@ -268,27 +260,46 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
     return worst
 
 
-def run_round_full_rl(world: SimWorld, pool: LearnerPool,
-                      params: LearningParams, round_index: int,
-                      rng) -> RoundOutcome:
-    """Learned elect-or-defer head selection over the geometric partition."""
+def _clustered_round(world: SimWorld, round_index: int, stage1,
+                     learned_heads: bool, legal,
+                     pool: Optional[LearnerPool] = None,
+                     params: Optional[LearningParams] = None,
+                     weights: Optional[UtilityWeights] = None,
+                     rng=None) -> RoundOutcome:
+    """The one round the four clustered strategies share.
+
+    `stage1` maps the round's chosen actions to the stage-1 clusters; None
+    leaves stage 1 to the geometric partition. `learned_heads` seats the
+    best-charged volunteer, otherwise utility seats every head. `legal` is
+    the action set agents choose from; None means nobody acts or learns.
+    """
     _require_alive(world)
     cfg = world.config
-    states = _observe_all(world, pool)
-    epsilon = decay_epsilon(params, round_index - 1)
-    actions = _select_actions(pool, states, epsilon, rng, FULL_RL_ACTIONS)
+    states = actions = None
+    epsilon = 0.0
+    if legal is not None:
+        states = _observe_all(world, pool)
+        epsilon = decay_epsilon(params, round_index - 1)
+        actions = _select_actions(pool, states, epsilon, rng, legal)
 
-    selector = _rl_head_selector(pool, states, actions, world.nodes)
+    clusters = None if stage1 is None else stage1(actions)
+    if learned_heads:
+        selector = _rl_head_selector(actions, world.nodes)
+    else:
+        selector = _utility_head_selector(world, weights)
     hierarchy = build_hierarchy(
         world.nodes, world.topology, selector,
-        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes)
+        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes,
+        stage1_clusters=clusters)
 
     snapshot = world.energy_snapshot()
     costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy)
     reward = compute_round_reward(hierarchy, snapshot, forwarding_ok=True)
     spent, deaths = _apply_drain(world, costs)
-    max_delta = _learn(world, pool, hierarchy, float(reward.total), states,
-                       actions, rng, round_index)
+    max_delta = 0.0
+    if legal is not None:
+        max_delta = _learn(world, pool, hierarchy, float(reward.total),
+                           states, actions, rng, round_index)
     return RoundOutcome(round_index=round_index, hierarchy=hierarchy,
                         reward=reward, delivered=delivered, hop_counts=hops,
                         energy_spent=spent, deaths=deaths,
@@ -296,63 +307,33 @@ def run_round_full_rl(world: SimWorld, pool: LearnerPool,
                         epsilon=epsilon)
 
 
+def run_round_full_rl(world: SimWorld, pool: LearnerPool,
+                      params: LearningParams, round_index: int,
+                      rng) -> RoundOutcome:
+    """Learned elect-or-defer head selection over the geometric partition."""
+    return _clustered_round(world, round_index, None, learned_heads=True,
+                            legal=FULL_RL_ACTIONS, pool=pool, params=params,
+                            rng=rng)
+
+
 def run_round_full_gt(world: SimWorld, weights: UtilityWeights,
                       round_index: int) -> RoundOutcome:
     """Equilibrium head competition, then utility heads up the hierarchy."""
-    _require_alive(world)
-    cfg = world.config
-    result = best_response_dynamics(
-        world.nodes, world.topology, weights,
-        initial_energy=cfg.initial_energy)
-    stage1 = [Cluster(id=k, member_ids=members, head_id=head)
-              for k, (members, head) in enumerate(profile_to_clusters(result))]
-    hierarchy = build_hierarchy(
-        world.nodes, world.topology, _utility_head_selector(world, weights),
-        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes,
-        stage1_clusters=stage1)
-
-    snapshot = world.energy_snapshot()
-    costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy)
-    reward = compute_round_reward(hierarchy, snapshot, forwarding_ok=True)
-    spent, deaths = _apply_drain(world, costs)
-    return RoundOutcome(round_index=round_index, hierarchy=hierarchy,
-                        reward=reward, delivered=delivered, hop_counts=hops,
-                        energy_spent=spent, deaths=deaths,
-                        long_links=long_links)
+    return _clustered_round(
+        world, round_index,
+        lambda _actions: _equilibrium_clusters(world, weights, True),
+        learned_heads=False, legal=None, weights=weights)
 
 
 def run_round_gt_rl(world: SimWorld, pool: LearnerPool,
                     weights: UtilityWeights, params: LearningParams,
                     round_index: int, rng) -> RoundOutcome:
     """Equilibrium memberships; agents learn who stands for election."""
-    _require_alive(world)
-    cfg = world.config
-    states = _observe_all(world, pool)
-    epsilon = decay_epsilon(params, round_index - 1)
-    actions = _select_actions(pool, states, epsilon, rng, GT_RL_ACTIONS)
-
-    result = best_response_dynamics(
-        world.nodes, world.topology, weights,
-        initial_energy=cfg.initial_energy)
-    stage1 = [Cluster(id=k, member_ids=members)
-              for k, (members, _head) in enumerate(profile_to_clusters(result))]
-    selector = _rl_head_selector(pool, states, actions, world.nodes)
-    hierarchy = build_hierarchy(
-        world.nodes, world.topology, selector,
-        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes,
-        stage1_clusters=stage1)
-
-    snapshot = world.energy_snapshot()
-    costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy)
-    reward = compute_round_reward(hierarchy, snapshot, forwarding_ok=True)
-    spent, deaths = _apply_drain(world, costs)
-    max_delta = _learn(world, pool, hierarchy, float(reward.total), states,
-                       actions, rng, round_index)
-    return RoundOutcome(round_index=round_index, hierarchy=hierarchy,
-                        reward=reward, delivered=delivered, hop_counts=hops,
-                        energy_spent=spent, deaths=deaths,
-                        long_links=long_links, max_q_delta=max_delta,
-                        epsilon=epsilon)
+    return _clustered_round(
+        world, round_index,
+        lambda _actions: _equilibrium_clusters(world, weights, False),
+        learned_heads=True, legal=GT_RL_ACTIONS, pool=pool, params=params,
+        rng=rng)
 
 
 def _founder_partition(world: SimWorld, alive: list, actions: dict) -> list:
@@ -362,8 +343,7 @@ def _founder_partition(world: SimWorld, alive: list, actions: dict) -> list:
     cfg = world.config
     founders = [i for i in alive if actions.get(i) == RlAction.CLUSTERING]
     if not founders:
-        return form_clusters(alive, world.topology,
-                             cfg.stage_target_sizes[0], None)
+        return form_clusters(alive, world.topology, cfg.stage_target_sizes[0])
     dist = world.topology.distance
     members = {f: [f] for f in founders}
     singles = []
@@ -392,30 +372,11 @@ def run_round_rl_gt(world: SimWorld, pool: LearnerPool,
                     weights: UtilityWeights, params: LearningParams,
                     round_index: int, rng) -> RoundOutcome:
     """Learned memberships; utility picks every head."""
-    _require_alive(world)
-    cfg = world.config
-    states = _observe_all(world, pool)
-    epsilon = decay_epsilon(params, round_index - 1)
-    actions = _select_actions(pool, states, epsilon, rng, RL_GT_ACTIONS)
-
-    alive = world.alive_ids()
-    stage1 = _founder_partition(world, alive, actions)
-    hierarchy = build_hierarchy(
-        world.nodes, world.topology, _utility_head_selector(world, weights),
-        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes,
-        stage1_clusters=stage1)
-
-    snapshot = world.energy_snapshot()
-    costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy)
-    reward = compute_round_reward(hierarchy, snapshot, forwarding_ok=True)
-    spent, deaths = _apply_drain(world, costs)
-    max_delta = _learn(world, pool, hierarchy, float(reward.total), states,
-                       actions, rng, round_index)
-    return RoundOutcome(round_index=round_index, hierarchy=hierarchy,
-                        reward=reward, delivered=delivered, hop_counts=hops,
-                        energy_spent=spent, deaths=deaths,
-                        long_links=long_links, max_q_delta=max_delta,
-                        epsilon=epsilon)
+    return _clustered_round(
+        world, round_index,
+        lambda actions: _founder_partition(world, world.alive_ids(), actions),
+        learned_heads=False, legal=RL_GT_ACTIONS, pool=pool, params=params,
+        weights=weights, rng=rng)
 
 
 def run_round_baseline(world: SimWorld, round_index: int) -> RoundOutcome:

@@ -1,5 +1,6 @@
 """Utility arithmetic and equilibrium properties of head competition."""
 
+import inspect
 import itertools
 import math
 import random
@@ -95,16 +96,12 @@ def test_positive_rescaling_preserves_choices(scale):
                                           initial_energy=1.0))
 
 
-class _ExplodingRng:
-    def __getattr__(self, name):
-        raise AssertionError("dynamics consulted the rng")
-
-
 def test_dynamics_deterministic_and_rng_free():
+    assert "rng" not in inspect.signature(best_response_dynamics).parameters
     for seed in (0, 1, 2):
         nodes, topo = random_instance(seed, n=6)
         a = best_response_dynamics(nodes, topo, UtilityWeights(),
-                                   initial_energy=1.0, rng=_ExplodingRng())
+                                   initial_energy=1.0)
         b = best_response_dynamics(nodes, topo, UtilityWeights(),
                                    initial_energy=1.0)
         assert a.profile == b.profile

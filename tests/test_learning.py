@@ -290,3 +290,5 @@ def test_learning_params_validation():
         LearningParams(epsilon_start=1.5)
     with pytest.raises(ValueError):
         LearningParams(replay_capacity=0)
+    with pytest.raises(ValueError):
+        LearningParams(replay_capacity=50, replay_batch=51)

@@ -113,14 +113,14 @@ def test_full_gt_equals_energy_argmax_rebuild_when_only_energy_counts():
 def test_elected_head_is_best_charged_volunteer():
     nodes, _ = make_nodes([(0, 0), (1, 0), (2, 0)], [0.9, 0.5, 0.7])
     cluster = Cluster(id=0, member_ids=[0, 1, 2])
-    pick = _rl_head_selector(None, {}, {1: RlAction.ELECT_SELF,
-                                        2: RlAction.ELECT_SELF}, nodes)
+    pick = _rl_head_selector({1: RlAction.ELECT_SELF,
+                              2: RlAction.ELECT_SELF}, nodes)
     assert pick(cluster) == 2     # best energy among the two volunteers
-    pick = _rl_head_selector(None, {}, {}, nodes)
+    pick = _rl_head_selector({}, nodes)
     assert pick(cluster) == 0     # nobody stood: energy argmax fallback
     tie_nodes, _ = make_nodes([(0, 0), (1, 0)], [0.8, 0.8])
-    pick = _rl_head_selector(None, {}, {0: RlAction.ELECT_SELF,
-                                        1: RlAction.ELECT_SELF}, tie_nodes)
+    pick = _rl_head_selector({0: RlAction.ELECT_SELF,
+                              1: RlAction.ELECT_SELF}, tie_nodes)
     assert pick(Cluster(id=0, member_ids=[0, 1])) == 0
 
 
