@@ -1,8 +1,10 @@
 """Golden digests: fixed-seed artifacts must stay byte-identical across changes.
 
-The constants below are the sha256 of every per-run file that two small
-scenarios write with seed 42. A change that moves any of them changes what
-the simulator computes; regenerate them only together with a note saying why.
+The constants below are the sha256 of every file that three scenarios write
+with seed 42: the per-run rounds CSVs and summaries, and the aggregate
+comparison table and figure data built from them. A change that moves any of
+them changes what the simulator computes; regenerate them only together with
+a note saying why.
 """
 
 import hashlib
@@ -18,6 +20,10 @@ SCENARIOS = {
     "depleted": {"network": {"node_count": 30, "round_count": 300,
                              "initial_energy": 0.01},
                  "learning": {"shared_table": False}},
+    # 60 stage-1 clusters of 300 nodes: locks farthest-point seeding and
+    # capped assignment at a k the two small scenarios never reach.
+    "wide": {"network": {"node_count": 300, "round_count": 3,
+                         "comm_range_fraction": 0.2}},
 }
 
 GOLDEN = {
@@ -32,6 +38,13 @@ GOLDEN = {
         "gt-rl_42_summary.json": "41feea829b2e5481545238fdd534a52834ccb246a3c868d271160e3308afb8b4",
         "rl-gt_42_summary.json": "f824dc3b7de0b347228783cf9fd3d83b73d5fadda1bb600f1b3e8a32ee7516ef",
         "baseline_42_summary.json": "71608d30196efea18666638eee74670ae4bacc5d4e1da10f51cf54e61d970587",
+        "comparison.csv": "104e7431cadc2e597efa21b3b1a5545cca8493cc4386af5283fbed4859ce4ea4",
+        "figdata_active_sensors.csv": "58051e03b98c25b94d9176326e8e99edae46628e739d7cebc15d56dedb230116",
+        "figdata_avg_energy.csv": "6e11d847246da1f8722e2f99bcc3aaf284bb3a6b85fc81b91200fddd7e9a9eed",
+        "figdata_convergence.csv": "e64ccf51a27ce5b9d8aa2ba57c50b01ff38d6e1cd7e02a692abd278f16f5ffed",
+        "figdata_cumulative_reward.csv": "01bd41e9af9027d3506e27b4af729300292bf0aa01ffab6566db32bad08d746d",
+        "figdata_energy_variance.csv": "f981d5705a8ce84941a3f4186f2ec7f10c25ecbb4a8281016fc552c260343bb2",
+        "figdata_success_rate.csv": "43a466b22531ca1385ca0daa419f9dc181f5f871c83c9bb885b0a21b2b4c0e72",
     },
     "depleted": {
         "full-rl_42_rounds.csv": "5d54155d5c559855e2c2998ec415ecd07b94ac32e598f6ce65b1150aef1b457c",
@@ -44,6 +57,32 @@ GOLDEN = {
         "gt-rl_42_summary.json": "8101671f3d9f743066e82a427fa5abd3a1d0deac31cce2251e467b47110e83bc",
         "rl-gt_42_summary.json": "18f08b2e3b74be25fb150d78a4e84dd02eaebf1aed30244b20c2c6c96c76b612",
         "baseline_42_summary.json": "7e49208983aef807e46463b6e3ab1110f2bf5e9d5cb2fdc7724f8b65b4fe7cc7",
+        "comparison.csv": "cd331aaf2e723926e399e8656a2516b0207cb65a18c0a488512b45b95aa6e620",
+        "figdata_active_sensors.csv": "71cf352d01ef542627b4a8f226c0f68dc4f86e0e203d03f71344c393b836e2da",
+        "figdata_avg_energy.csv": "9fcf2345431c3f32326f66f3cf45bd34a9f800423e002496db0e0209dde6ae52",
+        "figdata_convergence.csv": "601ebacb75d1b99583d221dbc979d6160f8bda7c99658a499d932a35ac7599c6",
+        "figdata_cumulative_reward.csv": "4690ff0de80e2756bcab8153365c32b912661699d144b80e73e898fd40bb5b13",
+        "figdata_energy_variance.csv": "e775e7f8811c02c2f53a94fdb9da1aaa70a26b4625eec01d79c2967310290e7e",
+        "figdata_success_rate.csv": "36a8611e604a40c866b0bffb8e9efec321699507cf22f6208bfcbf45e8046bb9",
+    },
+    "wide": {
+        "full-rl_42_rounds.csv": "40c200d2a0907ceb97ca51b5de38f4623348af3e0187c1ea3d539b82b8bd7303",
+        "full-gt_42_rounds.csv": "dcf8f27c7c3f7f8dfffb9b29bdc0b4b32d71094a8993982715972b5ed81325da",
+        "gt-rl_42_rounds.csv": "37370170c3c13dc7e980d30d6a7ad7adf2aeceafccbd39bde387ac37f3fcc891",
+        "rl-gt_42_rounds.csv": "ccd8d6307782248d3c07d014e128f792235ff28a68da172f22ea2a344b5bed4c",
+        "baseline_42_rounds.csv": "6f300cf819a224c510c1f45bf708a94f2210da59c820f0a642952019573931a8",
+        "full-rl_42_summary.json": "0a1913eabc3547b1047a864451665d00821fa559731267ef40edd9d8432b1b8e",
+        "full-gt_42_summary.json": "4e1c65a492b10a3231e7b65fd3692043bd58ce1e15f20480415e1311c65083a2",
+        "gt-rl_42_summary.json": "5077f6bec4b96ed364c353c13a9e5e7d2691aa6211e3d213f6553b928fda87fa",
+        "rl-gt_42_summary.json": "935337c27b5b5bbef4d4a53a9f87a989eff7a1e75f4197e5aaf5068396c2765f",
+        "baseline_42_summary.json": "899f8d24d827bf9d6b775854c4f8ad4afb956634211a8a60df15bca664320163",
+        "comparison.csv": "637906be6e173a3278cba47b98b8d2c83dc1ec541f3a379811fabe3386a2feb5",
+        "figdata_active_sensors.csv": "7e916639524f6db4f7a0af2a05b90cf687dcc8b285101384194396a1255c87ed",
+        "figdata_avg_energy.csv": "f19cf33b83d98a11e0b5d935135680ff97d88a614fc8480c322ce91906d3a3b7",
+        "figdata_convergence.csv": "6e2ad2a8972db143e85cb91236cd69ab415f9f69df296d7cc6e2f8ed8ff0c3ab",
+        "figdata_cumulative_reward.csv": "61cc379966c3352895947fc1cd85b5b79290f7f37347e7754b15ae5eb3166b02",
+        "figdata_energy_variance.csv": "5ad97100be22c6bb7fad4c4243e5edde19c0297ae930371841fd2af6b1cd490c",
+        "figdata_success_rate.csv": "2cc40686dab81a9cd350da891a75ac8b409aa8502331ac9f491f91b9efd73575",
     },
 }
 
@@ -55,8 +94,7 @@ def test_run_artifacts_match_golden_digests(name, tmp_path):
     summaries, failures = run_scenario(spec, jobs=1)
     assert failures == []
     assert len(summaries) == 5
-    written = sorted(tmp_path.glob("*_rounds.csv")) + \
-        sorted(tmp_path.glob("*_summary.json"))
+    written = sorted(tmp_path.glob("*.csv")) + sorted(tmp_path.glob("*.json"))
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in written}
     assert got == GOLDEN[name]
