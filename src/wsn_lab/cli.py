@@ -136,7 +136,8 @@ def _run_paths(out_dir: Path, strategy: StrategyKind, seed: int):
 
 
 def _execute_run(args):
-    """Worker for one (strategy, seed) run; must stay picklable."""
+    """Worker for one (strategy, seed) run; must stay picklable. Returns the
+    summary and the round series it wrote."""
     strategy, network, energy, learning, weights, out_dir = args
     result = simulate(strategy, network, energy, learning, weights)
     rounds_path, summary_path = _run_paths(Path(out_dir), strategy,
@@ -146,7 +147,7 @@ def _execute_run(args):
         metrics.write_summary_json(summary_path, result.summary)
     except OSError as exc:
         raise IoError(f"cannot write run output in {out_dir}: {exc}") from exc
-    return result.summary
+    return result.summary, result.series
 
 
 def run_scenario(spec: ScenarioSpec, jobs: int = 1):
@@ -168,7 +169,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1):
             jobs_list.append((strategy, cfg, spec.energy, spec.learning,
                               spec.weights, str(out_dir)))
 
-    summaries = []
+    runs = []
     failures = []
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -176,7 +177,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1):
             for jb, fut in zip(jobs_list, futures):
                 strategy, cfg = jb[0], jb[1]
                 try:
-                    summaries.append(fut.result())
+                    runs.append(fut.result())
                 except Exception as exc:
                     failures.append((strategy.value, cfg.rng_seed, str(exc)))
                     log.error("run %s seed %d failed: %s", strategy.value,
@@ -185,19 +186,25 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1):
         for jb in jobs_list:
             strategy, cfg = jb[0], jb[1]
             try:
-                summaries.append(_execute_run(jb))
+                runs.append(_execute_run(jb))
             except Exception as exc:
                 failures.append((strategy.value, cfg.rng_seed, str(exc)))
                 log.error("run %s seed %d failed: %s", strategy.value,
                           cfg.rng_seed, exc)
 
+    errors_path = out_dir / "errors.json"
     if failures:
         manifest = [{"strategy": s, "seed": sd, "error": err}
                     for s, sd, err in failures]
-        with open(out_dir / "errors.json", "w") as fh:
+        with open(errors_path, "w") as fh:
             json.dump(manifest, fh, indent=2)
+    else:
+        # A clean rerun must not leave an earlier run's failures on display.
+        errors_path.unlink(missing_ok=True)
+    summaries = [summary for summary, _series in runs]
     if summaries:
-        write_aggregates(out_dir, summaries)
+        write_aggregates(out_dir, summaries,
+                         {(s.strategy, s.seed): series for s, series in runs})
     return summaries, failures
 
 
@@ -270,21 +277,15 @@ _FIGURES = {
 }
 
 
-def write_figdata(out_dir: Path, summaries) -> None:
+def write_figdata(out_dir: Path, summaries, series_map: dict) -> None:
     """Per-figure plot series: round index vs per-strategy seed means.
 
+    `series_map` maps (strategy value, seed) to that run's round series.
     Runs that ended early (network death) hold their last value, except the
     success series, which counts a dead network as a failed round.
     """
     ordered, groups = _group_by_strategy(summaries)
-    series_map = {}
-    horizon = 0
-    for value in ordered:
-        for s in groups[value]:
-            path = out_dir / f"{value}_{s.seed}_rounds.csv"
-            series = metrics.read_rounds_csv(path)
-            series_map[(value, s.seed)] = series
-            horizon = max(horizon, len(series))
+    horizon = max(len(series_map[(s.strategy, s.seed)]) for s in summaries)
 
     for fig, extract in _FIGURES.items():
         with open(out_dir / f"figdata_{fig}.csv", "w", newline="") as fh:
@@ -318,20 +319,27 @@ def write_figdata(out_dir: Path, summaries) -> None:
             writer.writerow(row)
 
 
-def write_aggregates(out_dir: Path, summaries) -> None:
+def write_aggregates(out_dir: Path, summaries, series_map: dict) -> None:
     try:
         write_comparison_csv(out_dir / "comparison.csv", summaries)
-        write_figdata(out_dir, summaries)
+        write_figdata(out_dir, summaries, series_map)
     except OSError as exc:
         raise IoError(f"cannot write aggregates in {out_dir}: {exc}") from exc
 
 
 def load_output_dir(out_dir: Path):
-    """Re-read the summaries a previous run left behind."""
+    """Re-read the summaries a previous run left behind, and the round series
+    of each as a map from (strategy value, seed)."""
     paths = sorted(out_dir.glob("*_summary.json"))
     if not paths:
         raise IoError(f"no *_summary.json files in {out_dir}")
-    return [metrics.read_summary_json(p) for p in paths]
+    summaries = [metrics.read_summary_json(p) for p in paths]
+    try:
+        series_map = {(s.strategy, s.seed): metrics.read_rounds_csv(
+            out_dir / f"{s.strategy}_{s.seed}_rounds.csv") for s in summaries}
+    except OSError as exc:
+        raise IoError(f"cannot read round series in {out_dir}: {exc}") from exc
+    return summaries, series_map
 
 
 def _setup_logging(quiet: bool) -> None:
@@ -380,8 +388,8 @@ def main(argv=None) -> int:
 
         if args.command == "compare":
             out_dir = Path(args.in_dir)
-            summaries = load_output_dir(out_dir)
-            write_aggregates(out_dir, summaries)
+            summaries, series_map = load_output_dir(out_dir)
+            write_aggregates(out_dir, summaries, series_map)
             print(compare_table(summaries))
             return 0
 

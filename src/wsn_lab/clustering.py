@@ -6,9 +6,12 @@ sharing the same partitioning and stage plumbing.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .network import Topology
 
@@ -87,12 +90,13 @@ def form_clusters(participant_ids: list, topology: Topology,
                   target_size: int) -> list:
     """Partition participants into K = ceil(n / target_size) balanced clusters.
 
-    Farthest-point seeding over the static distance matrix, greedy
-    distance-ordered assignment capped at ceil(n / K) members per cluster,
-    then k-medoids refinement until the medoid set stops moving, which pulls
-    the centers into the population mass and keeps stray links short.
-    Deterministic: the first seed is the lowest id, and all ties break on
-    (distance, node id, cluster index).
+    Farthest-point seeding over the static distance matrix (Gonzalez's
+    k-center rule: a running nearest-center distance per node makes it
+    O(K * n)), greedy distance-ordered assignment capped at ceil(n / K) + 1
+    members per cluster, then k-medoids refinement until the medoid set stops
+    moving, which pulls the centers into the population mass and keeps stray
+    links short. Deterministic: the first seed is the lowest id, and all ties
+    break on (distance, node id, cluster index).
     """
     if target_size < 2:
         raise ValueError("target_size must be >= 2")
@@ -104,77 +108,84 @@ def form_clusters(participant_ids: list, topology: Topology,
     if k <= 1:
         return [Cluster(id=0, member_ids=list(ids))]
 
-    dist = topology.distance
-    centers = [ids[0]]
+    # Everything below works on positions 0..n-1 into the ascending ids, so
+    # the first minimum or maximum numpy returns is the lowest id among ties.
+    sub = topology.distance[np.ix_(ids, ids)]
+    centers = [0]
+    nearest = sub[0].copy()     # distance to the nearest center; -inf: taken
+    nearest[0] = -np.inf
     while len(centers) < k:
-        best = None
-        for cand in ids:
-            if cand in centers:
-                continue
-            d_near = min(dist[cand, c] for c in centers)
-            key = (-d_near, cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        centers.append(best[1])
+        c = int(np.argmax(nearest))
+        centers.append(c)
+        np.minimum(nearest, sub[c], out=nearest)
+        nearest[c] = -np.inf
 
     # One slot of slack per cluster lets a node far from everything join its
     # nearest center instead of a leftover slot across the field.
     cap = math.ceil(n / k) + 1
 
     def assign(to_centers):
-        pairs = []
-        for node in ids:
-            for ci, center in enumerate(to_centers):
-                pairs.append((float(dist[node, center]), node, ci))
-        pairs.sort()
-        assignment = {}
-        counts = [0] * k
-        for _d, node, ci in pairs:
-            if node in assignment or counts[ci] >= cap:
-                continue
-            assignment[node] = ci
-            counts[ci] += 1
-        return assignment
+        """Capped greedy over all (distance, node, cluster) pairs in order.
 
-    assignment = assign(centers)
+        A heap holds each unplaced node's best pair into a cluster that was
+        not full when last looked at; a full cluster stays full, so popping
+        the heap visits every pair that can still matter in global order."""
+        d = sub[:, to_centers]
+        heap = list(zip(d.min(axis=1).tolist(), range(n),
+                        d.argmin(axis=1).tolist()))
+        heapq.heapify(heap)
+        labels = [-1] * n
+        counts = [0] * k
+        while heap:
+            _dist, node, ci = heapq.heappop(heap)
+            if counts[ci] < cap:
+                labels[node] = ci
+                counts[ci] += 1
+                continue
+            # Rows tie-break on cluster index, as the global order does.
+            row = d[node]
+            for nxt in np.argsort(row, kind="stable").tolist():
+                if counts[nxt] < cap:
+                    heapq.heappush(heap, (float(row[nxt]), node, nxt))
+                    break
+        return np.array(labels)
+
+    labels = assign(centers)
     for _ in range(8):
-        groups = [[] for _ in range(k)]
-        for node in ids:
-            groups[assignment[node]].append(node)
         medoids = []
         for ci in range(k):
-            members = groups[ci] or [centers[ci]]
-            medoids.append(min(
-                members,
-                key=lambda m: (sum(float(dist[m, o]) for o in members), m)))
+            members = np.flatnonzero(labels == ci)
+            if members.size == 0:
+                medoids.append(centers[ci])
+                continue
+            # The block is C-ordered, so its column sums add the rows in
+            # order: each equals a sequential sum of dist[m, o] over the
+            # members o, as the matrix is exactly symmetric.
+            sums = sub[members[:, None], members].sum(axis=0)
+            medoids.append(int(members[np.argmin(sums)]))
         if medoids == centers:
             break
         centers = medoids
-        assignment = assign(centers)
+        labels = assign(centers)
 
     # Top up lone clusters from a roomy neighbor: a one-node cluster pays the
     # full uplink share every round, which skews the drain across the field.
-    counts = [0] * k
-    for node in ids:
-        counts[assignment[node]] += 1
-    for ci in range(k):
-        if counts[ci] != 1:
+    counts = np.bincount(labels, minlength=k)
+    for ci in np.flatnonzero(counts == 1).tolist():
+        lone = int(np.flatnonzero(labels == ci)[0])
+        donors = counts[labels] >= 3
+        if not donors.any():
             continue
-        lone = next(nd for nd in ids if assignment[nd] == ci)
-        donors = [u for u in ids
-                  if assignment[u] != ci and counts[assignment[u]] >= 3]
-        if not donors:
-            continue
-        moved = min(donors, key=lambda u: (float(dist[lone, u]), u))
-        counts[assignment[moved]] -= 1
-        assignment[moved] = ci
+        moved = int(np.argmin(np.where(donors, sub[lone], np.inf)))
+        counts[labels[moved]] -= 1
+        labels[moved] = ci
         counts[ci] += 1
 
-    clusters = [Cluster(id=ci, member_ids=[]) for ci in range(k)]
-    for node in ids:
-        clusters[assignment[node]].member_ids.append(node)
-    out = [Cluster(id=i, member_ids=c.member_ids)
-           for i, c in enumerate(clusters) if c.member_ids]
+    out = []
+    for ci in range(k):
+        members = [ids[i] for i in np.flatnonzero(labels == ci).tolist()]
+        if members:
+            out.append(Cluster(id=ci, member_ids=members))
     return out
 
 

@@ -344,22 +344,21 @@ def _founder_partition(world: SimWorld, alive: list, actions: dict) -> list:
     founders = [i for i in alive if actions.get(i) == RlAction.CLUSTERING]
     if not founders:
         return form_clusters(alive, world.topology, cfg.stage_target_sizes[0])
-    dist = world.topology.distance
+    topo = world.topology
+    joiners = [i for i in alive if actions.get(i) != RlAction.CLUSTERING]
+    rows, cols = np.ix_(joiners, founders)
+    # Founders ascend, so the first minimum keeps the (distance, founder id)
+    # tie-break; out-of-range founders are masked off.
+    in_range = topo.adjacency_matrix[rows, cols]
+    nearest = np.where(in_range, topo.distance[rows, cols], np.inf).argmin(1)
     members = {f: [f] for f in founders}
     singles = []
-    for i in alive:
-        if i in members:
-            continue
-        best = None
-        for f in founders:
-            if world.topology.adjacency_matrix[i, f]:
-                key = (float(dist[i, f]), f)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            singles.append(i)
+    for i, reach, fi in zip(joiners, in_range.any(1).tolist(),
+                            nearest.tolist()):
+        if reach:
+            members[founders[fi]].append(i)
         else:
-            members[best[1]].append(i)
+            singles.append(i)
     clusters = []
     for f in founders:
         clusters.append(Cluster(id=len(clusters), member_ids=members[f]))

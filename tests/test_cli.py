@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+from wsn_lab import cli
 from wsn_lab.cli import (ConfigError, IoError, ScenarioSpec, compare_table,
-                         load_scenario, main, parse_scenario)
+                         load_scenario, main, parse_scenario, run_scenario)
 from wsn_lab.metrics import TABLE_FRACTIONS, RunSummary, read_rounds_csv
 from wsn_lab.strategies import StrategyKind
 
@@ -140,6 +141,57 @@ def test_compare_command_rebuilds_aggregates(tmp_path, capsys):
 def test_compare_empty_dir_fails_cleanly(tmp_path, capsys):
     assert main(["compare", "--in", str(tmp_path), "--quiet"]) == 2
     assert "io error" in capsys.readouterr().err
+
+
+def test_run_builds_figdata_from_memory_and_compare_matches(tmp_path,
+                                                           monkeypatch):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(TINY, output_dir=str(out)))
+
+    def no_reread(path):
+        raise AssertionError(f"run re-read {path}")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.metrics, "read_rounds_csv", no_reread)
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+    figs = sorted(out.glob("figdata_*.csv"))
+    assert len(figs) == 6
+    written = {p.name: p.read_bytes() for p in figs}
+    for p in figs:
+        p.unlink()
+    assert main(["compare", "--in", str(out), "--quiet"]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("figdata_*.csv")} \
+        == written
+
+
+def test_compare_missing_round_series_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(TINY, output_dir=str(out)))
+    assert main(["run", "--config", str(path), "--quiet"]) == 0
+    (out / "baseline_2_rounds.csv").unlink()
+    capsys.readouterr()
+    assert main(["compare", "--in", str(out), "--quiet"]) == 2
+    assert "baseline_2_rounds.csv" in capsys.readouterr().err
+
+
+def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
+    spec = parse_scenario(dict(TINY, output_dir=str(tmp_path)))
+    real = cli.simulate
+
+    def flaky(strategy, *args):
+        if strategy is StrategyKind.BASELINE:
+            raise RuntimeError("injected failure")
+        return real(strategy, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "simulate", flaky)
+        _summaries, failures = run_scenario(spec)
+    assert len(failures) == 2
+    manifest = json.loads((tmp_path / "errors.json").read_text())
+    assert {e["strategy"] for e in manifest} == {"baseline"}
+    _summaries, failures = run_scenario(spec)
+    assert failures == []
+    assert not (tmp_path / "errors.json").exists()
 
 
 def test_figdata_means_match_run_csvs(tmp_path):

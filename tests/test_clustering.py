@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsn_lab import (NoAliveNodes, build_hierarchy, form_clusters,
@@ -12,6 +12,7 @@ from wsn_lab import (NoAliveNodes, build_hierarchy, form_clusters,
 from wsn_lab.clustering import Cluster
 
 from conftest import make_nodes
+from reference_clustering import reference_form_clusters
 
 
 def random_layout(seed, n, side=100.0):
@@ -156,3 +157,41 @@ def test_role_and_parent_maps_agree():
     for nid, role in roles.items():
         assert h.role_of(nid) == role
     assert h.role_of(h.final_transmitter) == len(h.stages)
+
+
+def _layout(kind, seed, n):
+    """Positions with many exact distance ties for the grid and stacked kinds."""
+    rng = random.Random(seed)
+    if kind == "uniform":
+        return [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+    if kind == "grid":
+        side = rng.randint(2, 8)
+        return [(rng.randint(0, side), rng.randint(0, side))
+                for _ in range(n)]
+    spots = [(rng.uniform(0, 100), rng.uniform(0, 100))
+             for _ in range(rng.randint(1, 6))]
+    return [rng.choice(spots) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["uniform", "grid", "stacked"]),
+       st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=100),
+       st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.05, max_value=1.0))
+# A medoid here turns on how the distance sums round: numpy's 8-way unrolled
+# sum along a contiguous axis picks another one than the sequential sum.
+@example("grid", 260, 30, 12, 1.0)
+def test_form_clusters_matches_reference(kind, seed, n, target, keep):
+    """Identical partitions to the pure-Python original, ties included.
+    Targets above 8 give clusters longer than numpy's unrolled sum."""
+    nodes, topo = make_nodes(_layout(kind, seed, n), comm_range=100.0)
+    rng = random.Random(seed + 1)
+    ids = [i for i in range(n) if rng.random() < keep] or [rng.randrange(n)]
+    rng.shuffle(ids)
+    got = form_clusters(ids, topo, target)
+    want = reference_form_clusters(ids, topo, target)
+    assert [(c.id, c.member_ids) for c in got] == \
+        [(c.id, c.member_ids) for c in want]
+    assert all(type(m) is int for c in got for m in c.member_ids)
+

@@ -139,6 +139,20 @@ def test_founder_partition_shapes():
     assert sorted(m for c in fallback for m in c.member_ids) == alive
 
 
+def test_founder_partition_ties_and_order():
+    # node 0 sits exactly between founders 1 and 3 and joins the lower id;
+    # node 2 reaches only founder 3; nodes 4 and 5 reach nobody and stand
+    # alone after the founders' clusters, in id order
+    world = hand_world([(20, 0), (15, 0), (32, 0), (25, 0), (80, 0), (60, 0)],
+                       comm_range=10.0)
+    clusters = _founder_partition(world, list(range(6)),
+                                  {1: RlAction.CLUSTERING,
+                                   3: RlAction.CLUSTERING,
+                                   4: RlAction.ELECT_SELF})
+    assert [(c.id, c.member_ids) for c in clusters] == \
+        [(0, [0, 1]), (1, [2, 3]), (2, [4]), (3, [5])]
+
+
 def test_learned_rounds_conserve_energy():
     cfg = small_config()
     world = make_world(cfg, EnergyModel())
