@@ -1,6 +1,6 @@
 """Golden digests: fixed-seed artifacts must stay byte-identical across changes.
 
-The constants below are the sha256 of every file that three scenarios write
+The constants below are the sha256 of every file that five scenarios write
 with seed 42: the per-run rounds CSVs and summaries, and the aggregate
 comparison table and figure data built from them. A change that moves any of
 them changes what the simulator computes; regenerate them only together with
@@ -24,6 +24,14 @@ SCENARIOS = {
     # capped assignment at a k the two small scenarios never reach.
     "wide": {"network": {"node_count": 300, "round_count": 3,
                          "comm_range_fraction": 0.2}},
+    # Private tables pruned every 10 rounds below 40 visits: locks that a
+    # pruned entry reads as zero and is learned afresh afterwards.
+    "pruned": {"network": {"node_count": 20, "round_count": 60},
+               "learning": {"prune_min_visits": 40, "prune_window_rounds": 10,
+                            "shared_table": False}},
+    # A batch smaller than the buffer: locks the replay rng's sample draws.
+    "sampled": {"network": {"node_count": 20, "round_count": 60},
+                "learning": {"replay_capacity": 30, "replay_batch": 7}},
 }
 
 GOLDEN = {
@@ -83,6 +91,44 @@ GOLDEN = {
         "figdata_cumulative_reward.csv": "61cc379966c3352895947fc1cd85b5b79290f7f37347e7754b15ae5eb3166b02",
         "figdata_energy_variance.csv": "5ad97100be22c6bb7fad4c4243e5edde19c0297ae930371841fd2af6b1cd490c",
         "figdata_success_rate.csv": "2cc40686dab81a9cd350da891a75ac8b409aa8502331ac9f491f91b9efd73575",
+    },
+    "pruned": {
+        "full-rl_42_rounds.csv": "8c08d1b7d6293a623b61ef5ad467cb0fb7f2e950a9eb6bb40eeb1f0f44ffdc9e",
+        "full-gt_42_rounds.csv": "1a6481ee62cb60f6d76f3e024d9798f51799c59f67ac540165373318af4f46e4",
+        "gt-rl_42_rounds.csv": "3b6cac7a6c3e59ce991b6045813dac9b3e7ba21ab726c7229c0d6f73a8492c36",
+        "rl-gt_42_rounds.csv": "1b319f850beaaaf11c1882f5b1438914bd841b6d29dd965a62a110658ad00158",
+        "baseline_42_rounds.csv": "69af219d377d72a5140ac2826f7c86b2c20ee6c90829b9856d5fc73c0ae8807c",
+        "full-rl_42_summary.json": "54a02a3215d371d8fd642fdb0c08a04104c7a928828d3d904ade55bda330f034",
+        "full-gt_42_summary.json": "f1a73a1b3ddac72f5a76c1f4011f1db1bba0e2a3d534ae39b2f537e3a1ad9652",
+        "gt-rl_42_summary.json": "4bc6f4b98c903161d1d6c0416b7a865974228e0e955fcb32889c12e9b7650d4d",
+        "rl-gt_42_summary.json": "e07e002fab638221142ec255e88888d903ea5e2f07a37ec2f7254a752f37e7db",
+        "baseline_42_summary.json": "f4fb4216601da120b85e271ccb096ae14cc1cd253878b36e481c50cba6b3e693",
+        "comparison.csv": "c0d55740bd40a873098d1b75c2a9942b91b93da1cf3eb8870975c2e9a623fe7e",
+        "figdata_active_sensors.csv": "cc773e8530c2d29a91beced88bbc2f523f77332b9c7bf708674aabec3df78ade",
+        "figdata_avg_energy.csv": "88ed2cea7b32abe096f74595a3db687d7a543a43a82e3c213ec6c2bddd1ff221",
+        "figdata_convergence.csv": "5981d343d49ce3a143efd1abb93fb1b31c3bb06d295ce755db18fbe37bc7a872",
+        "figdata_cumulative_reward.csv": "221382c507f766e662eb0b02cdf36a43bad6ba95c7a0ed85840bc3ae6a133f8c",
+        "figdata_energy_variance.csv": "f9e3948fe787f4b90858a4dc7c582f1dab02aa91ea62edb4162051743f3891dc",
+        "figdata_success_rate.csv": "a7de69d9f70830e70c15125c012c7b9e9eb406e2af39dd5c36b7e6e04b75bb9f",
+    },
+    "sampled": {
+        "full-rl_42_rounds.csv": "0b181f6a4a3f011faf0e7adb89ffce82457d2478814bcfa9c63de22341f4eeb7",
+        "full-gt_42_rounds.csv": "1a6481ee62cb60f6d76f3e024d9798f51799c59f67ac540165373318af4f46e4",
+        "gt-rl_42_rounds.csv": "f1bec96340beb56b2d7090a01d2def8b758035d55e5b133d72eca82d815b3be6",
+        "rl-gt_42_rounds.csv": "b73ab25ee66bfa016acc9597e68651cbdda4f19ea4a80f308d287da26c349129",
+        "baseline_42_rounds.csv": "69af219d377d72a5140ac2826f7c86b2c20ee6c90829b9856d5fc73c0ae8807c",
+        "full-rl_42_summary.json": "665dd030a9b8f2731fd7305c49ef325a0d00d88dd7a86d3d315f262987388e5e",
+        "full-gt_42_summary.json": "f1a73a1b3ddac72f5a76c1f4011f1db1bba0e2a3d534ae39b2f537e3a1ad9652",
+        "gt-rl_42_summary.json": "e17c8d826d0fa7d0b0e303262c1fa03ab30db4757b2b4d2f05ab82f5034d4bf9",
+        "rl-gt_42_summary.json": "90f03059232e4119d4e88e20188548ef4ad608ba7f484a5d12d4a4be425e454e",
+        "baseline_42_summary.json": "f4fb4216601da120b85e271ccb096ae14cc1cd253878b36e481c50cba6b3e693",
+        "comparison.csv": "3f4030323b4c5a6d581584cfed994b14994cfbdea90320242ba492c24c44dd8b",
+        "figdata_active_sensors.csv": "cc773e8530c2d29a91beced88bbc2f523f77332b9c7bf708674aabec3df78ade",
+        "figdata_avg_energy.csv": "61b85bd62b2b9f88d6420da01f211f241875aa1fbec2ccaaa55ef78fe8371acf",
+        "figdata_convergence.csv": "59329164683f968873287d65f46f665cda1fc560b38d69e6d96e770da82d2f87",
+        "figdata_cumulative_reward.csv": "24cce67b5f09258187cc591fbd8a0841a05244765b86f4ba0c0dc8effebf8b48",
+        "figdata_energy_variance.csv": "298fd0fdb90e0e1d9805bccaa286331125bbad7657bd2664255cfcf77afd2c54",
+        "figdata_success_rate.csv": "aafe87251bbb5b27011028b7d82171325d83091ea2f41cddf190adfabe59bba6",
     },
 }
 
