@@ -86,7 +86,12 @@ class RewardBreakdown:
 
 
 class QTable:
-    """Sparse (state, action) -> (q, visits) map; absent entries read 0."""
+    """Sparse (state, action) -> (q, visits) map; absent entries read 0.
+
+    Rows are never deleted: pruning zeroes entries in place, so a replay
+    record bound to a row (see `resolve`) stays bound to the live row. A zero
+    entry reads, counts and dumps exactly as an absent one.
+    """
 
     __slots__ = ("_rows",)
 
@@ -102,12 +107,6 @@ class QTable:
         row = self._rows.get(state)
         return row[1][action] if row is not None else 0
 
-    def max_q(self, state) -> float:
-        row = self._rows.get(state)
-        if row is None:
-            return 0.0
-        return max(row[0])
-
     def row(self, state):
         row = self._rows.get(state)
         if row is None:
@@ -115,14 +114,26 @@ class QTable:
             self._rows[state] = row
         return row
 
+    def resolve(self, exp: Experience) -> tuple:
+        """Bind an experience to this table's rows, once, for replay.
+
+        Returns the record (q_row, visit_row, action, reward, next_q_row).
+        The next state's row is created as zeros if absent, so bootstrapping
+        from it reads 0.0, as from an absent state.
+        """
+        qs, vs = self.row(exp.state)
+        return qs, vs, int(exp.action), exp.reward, self.row(exp.next_state)[0]
+
     def entry_count(self) -> int:
         n = 0
         for qs, vs in self._rows.values():
             n += sum(1 for a in range(len(qs)) if qs[a] != 0.0 or vs[a] != 0)
         return n
 
-    def states(self):
-        return self._rows.keys()
+    def states(self) -> list:
+        """States with at least one live entry."""
+        return [state for state, (qs, vs) in self._rows.items()
+                if any(qs) or any(vs)]
 
     def items(self):
         for state, (qs, vs) in self._rows.items():
@@ -179,36 +190,58 @@ def select_action(table: QTable, state: AgentState, epsilon: float, rng,
     if rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
     best = actions[0]
-    best_q = table.q(state, actions[0])
+    row = table._rows.get(state)
+    if row is None:
+        return best
+    qs = row[0]
+    best_q = qs[best]
     for a in actions[1:]:
-        qv = table.q(state, a)
+        qv = qs[a]
         if qv > best_q:
             best, best_q = a, qv
     return best
 
 
-def q_update(table: QTable, exp: Experience, params: LearningParams) -> float:
-    """One Bellman backup; returns |delta Q| for convergence telemetry.
+def _backup(records, params: LearningParams) -> float:
+    """Apply the Bellman backup to each bound record in turn; returns the
+    largest |delta Q|, for convergence telemetry.
 
     The adaptive learning rate uses the pre-increment visit count, so the
     first update of a pair applies rate 1, the second 1/2, and so on.
     """
-    row = table.row(exp.state)
-    a = int(exp.action)
-    if params.adaptive_learning_rate:
-        alpha = 1.0 / (1.0 + row[1][a])
-    else:
-        alpha = params.learning_rate
-    target = exp.reward + params.discount_factor * table.max_q(exp.next_state)
-    old = row[0][a]
-    new = (1.0 - alpha) * old + alpha * target
-    row[0][a] = new
-    row[1][a] += 1
-    return abs(new - old)
+    adaptive = params.adaptive_learning_rate
+    rate = params.learning_rate
+    gamma = params.discount_factor
+    worst = 0.0
+    for qs, vs, a, reward, next_qs in records:
+        alpha = 1.0 / (1.0 + vs[a]) if adaptive else rate
+        # max(next_qs) unrolled over the four actions, first maximum kept
+        best, q1, q2, q3 = next_qs
+        if q1 > best:
+            best = q1
+        if q2 > best:
+            best = q2
+        if q3 > best:
+            best = q3
+        target = reward + gamma * best
+        old = qs[a]
+        new = (1.0 - alpha) * old + alpha * target
+        qs[a] = new
+        vs[a] += 1
+        delta = abs(new - old)
+        if delta > worst:
+            worst = delta
+    return worst
+
+
+def q_update(table: QTable, exp: Experience, params: LearningParams) -> float:
+    """One Bellman backup; returns |delta Q|."""
+    return _backup((table.resolve(exp),), params)
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of experiences with O(1) uniform sampling."""
+    """Fixed-capacity ring of `QTable.resolve` records with O(1) uniform
+    sampling."""
 
     __slots__ = ("capacity", "_items", "_cursor")
 
@@ -217,11 +250,11 @@ class ReplayBuffer:
         self._items = []
         self._cursor = 0
 
-    def add(self, exp: Experience):
+    def add(self, record: tuple):
         if len(self._items) < self.capacity:
-            self._items.append(exp)
+            self._items.append(record)
         else:
-            self._items[self._cursor] = exp
+            self._items[self._cursor] = record
             self._cursor = (self._cursor + 1) % self.capacity
 
     def __len__(self):
@@ -238,13 +271,9 @@ class ReplayBuffer:
 
 def replay_step(table: QTable, buffer: ReplayBuffer, params: LearningParams,
                 rng) -> float:
-    """Re-apply the Bellman update to a uniform sample; returns max |delta Q|."""
-    worst = 0.0
-    for exp in buffer.sample(params.replay_batch, rng):
-        delta = q_update(table, exp, params)
-        if delta > worst:
-            worst = delta
-    return worst
+    """Re-apply the Bellman backup to a uniform sample of the buffer, whose
+    records are bound to `table`'s rows; returns max |delta Q|."""
+    return _backup(buffer.sample(params.replay_batch, rng), params)
 
 
 def decay_epsilon(params: LearningParams, round_index: int) -> float:
@@ -254,23 +283,22 @@ def decay_epsilon(params: LearningParams, round_index: int) -> float:
 
 
 def prune(table: QTable, params: LearningParams, round_index: int) -> int:
-    """Drop rarely-visited entries on the pruning schedule; returns #removed."""
+    """Zero rarely-visited entries on the pruning schedule; returns #removed.
+
+    Entries are zeroed in place and rows are kept, so replay records stay
+    bound to the live rows.
+    """
     if params.prune_min_visits <= 0:
         return 0
     if round_index <= 0 or round_index % params.prune_window_rounds != 0:
         return 0
     removed = 0
-    empty_states = []
-    for state, (qs, vs) in table._rows.items():
+    for qs, vs in table._rows.values():
         for a in range(len(qs)):
             if (qs[a] != 0.0 or vs[a] != 0) and vs[a] < params.prune_min_visits:
                 qs[a] = 0.0
                 vs[a] = 0
                 removed += 1
-        if all(q == 0.0 for q in qs) and all(v == 0 for v in vs):
-            empty_states.append(state)
-    for state in empty_states:
-        del table._rows[state]
     return removed
 
 

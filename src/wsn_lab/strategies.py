@@ -251,7 +251,7 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
         delta = q_update(agent.table, exp, params)
         if delta > worst:
             worst = delta
-        agent.buffer.add(exp)
+        agent.buffer.add(agent.table.resolve(exp))
         delta = replay_step(agent.table, agent.buffer, params, rng)
         if delta > worst:
             worst = delta

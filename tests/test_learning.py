@@ -1,18 +1,29 @@
 """Q-learning arithmetic against hand-computed oracles."""
 
+import copy
 import csv
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wsn_lab import (Experience, LearningParams, QTable, ReplayBuffer,
-                     RlAction, compute_round_reward, decay_epsilon, q_update,
-                     select_action, state_space_bound)
+from wsn_lab import (EnergyModel, Experience, LearningParams, NetworkConfig,
+                     QTable, ReplayBuffer, RlAction, StrategyKind,
+                     UtilityWeights, compute_round_reward, decay_epsilon,
+                     learning, q_update, select_action, simulate,
+                     state_space_bound, strategies)
 from wsn_lab.clustering import Cluster, ClusterHierarchy
-from wsn_lab.learning import ALL_ACTIONS, AgentState, observe_state, prune
+from wsn_lab.learning import (ALL_ACTIONS, AgentState, observe_state, prune,
+                              replay_step)
 
 from conftest import make_nodes
+from reference_learning import (ReferenceQTable, ReferenceReplayBuffer,
+                                reference_prune, reference_q_update,
+                                reference_replay_step)
 
 S0 = AgentState(9, False, 3, 9, 0)
 S1 = AgentState(8, True, 3, 8, 1)
@@ -110,8 +121,6 @@ def test_epsilon_decay_values():
 
 def test_replay_equals_sequential_updates():
     """A full-buffer replay must match applying the same updates in order."""
-    from wsn_lab.learning import replay_step
-
     exps = [exp(S0, RlAction.ELECT_SELF, 3.0, S1),
             exp(S1, RlAction.JOIN_HEAD, 1.0, S0),
             exp(S0, RlAction.ELECT_SELF, 2.0, S0)]
@@ -120,7 +129,7 @@ def test_replay_equals_sequential_updates():
     replayed = QTable()
     buffer = ReplayBuffer(capacity=10)
     for e in exps:
-        buffer.add(e)
+        buffer.add(replayed.resolve(e))
     replay_step(replayed, buffer, params, random.Random(0))
 
     oracle = QTable()
@@ -134,19 +143,22 @@ def test_replay_equals_sequential_updates():
 
 
 def test_replay_buffer_ring_overwrites_oldest():
+    table = QTable()
     buf = ReplayBuffer(capacity=3)
     items = [exp(S0, RlAction(a % 4), float(a), S1) for a in range(5)]
     for e in items:
-        buf.add(e)
+        buf.add(table.resolve(e))
     assert len(buf) == 3
     held = buf.sample(10, random.Random(0))
-    assert sorted(e.reward for e in held) == [2.0, 3.0, 4.0]
+    # records are (q_row, visit_row, action, reward, next_q_row)
+    assert sorted(r[3] for r in held) == [2.0, 3.0, 4.0]
 
 
 def test_replay_sample_size_capped_by_buffer():
+    table = QTable()
     buf = ReplayBuffer(capacity=8)
     for i in range(4):
-        buf.add(exp(S0, RlAction.CLUSTERING, float(i), S1))
+        buf.add(table.resolve(exp(S0, RlAction.CLUSTERING, float(i), S1)))
     assert len(buf.sample(2, random.Random(0))) == 2
     assert len(buf.sample(100, random.Random(0))) == 4
     assert buf.sample(0, random.Random(0)) == []
@@ -213,6 +225,7 @@ def test_prune_respects_schedule_and_threshold():
     assert prune(table, params, 50) == 1
     assert table.q(S0, a) == 0.0
     assert S0 not in set(table.states())
+    assert S1 in set(table.states())
     assert table.visits(S1, a) == 3
     # disabled pruning never removes anything
     assert prune(table, LearningParams(), 50) == 0
@@ -292,3 +305,118 @@ def test_learning_params_validation():
         LearningParams(replay_capacity=0)
     with pytest.raises(ValueError):
         LearningParams(replay_capacity=50, replay_batch=51)
+
+
+def test_benchmark_bound_learning_interface():
+    """The names and table operations the benchmark wraps and reads."""
+    # bench/tracer.py rebinds these by name in every wsn_lab module, so the
+    # round pipeline must look them up as module attributes.
+    for name in ("q_update", "replay_step", "observe_state", "select_action",
+                 "compute_round_reward"):
+        assert callable(getattr(learning, name))
+        assert getattr(strategies, name) is getattr(learning, name)
+
+    table = QTable()
+    S2 = AgentState(1, False, 0, 1, 0)
+    q_update(table, exp(S0, RlAction.ELECT_SELF, 1.0, S2), FIXED)
+    for _ in range(3):
+        q_update(table, exp(S1, RlAction.ELECT_SELF, 1.0, S0), FIXED)
+    # a next state that was only bootstrapped from has no live entry
+    assert set(table.states()) == {S0, S1}
+    table.row(S1)[0][RlAction.JOIN_HEAD] = 5.0
+    assert (S1, RlAction.JOIN_HEAD, 5.0, 0) in set(table.items())
+    clone = copy.deepcopy(table)
+    assert sorted(clone.items()) == sorted(table.items())
+    assert clone.entry_count() == table.entry_count() == 3
+    params = LearningParams(prune_min_visits=2, prune_window_rounds=1)
+    assert prune(table, params, 1) == 2
+    assert set(table.states()) == {S1}
+    assert clone.entry_count() == 3
+
+
+def test_round_pipeline_learns_through_module_attributes(monkeypatch):
+    """Wrapping the learning names in `strategies` sees every fresh update
+    and every replay of a learning round."""
+    calls = {"q_update": 0, "replay_step": 0}
+
+    def counting(name):
+        fn = getattr(strategies, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(strategies, name, counting(name))
+    run = simulate(StrategyKind.FULL_RL,
+                   NetworkConfig(node_count=10, round_count=3, rng_seed=7),
+                   EnergyModel(), LearningParams(), UtilityWeights())
+    assert len(run.series) == 3
+    assert calls["q_update"] == calls["replay_step"] == 30
+
+
+def _pool_state(i: int) -> AgentState:
+    return AgentState(9 - i, i % 2 == 1, i % 4, 9 - i, i % 3)
+
+
+def _tables_agree(ref, new, states):
+    for s in states:
+        for a in ALL_ACTIONS:
+            assert repr(new.q(s, a)) == repr(ref.q(s, a))
+            assert new.visits(s, a) == ref.visits(s, a)
+    assert new.entry_count() == ref.entry_count()
+    assert set(new.states()) == set(ref.states())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),    # stream seed
+       st.integers(min_value=1, max_value=6),          # distinct states
+       st.integers(min_value=1, max_value=3),          # buffers on one table
+       st.integers(min_value=1, max_value=8),          # replay capacity
+       st.floats(min_value=0.0, max_value=1.0),        # batch / capacity
+       st.booleans(),                                  # adaptive rate
+       st.integers(min_value=0, max_value=6),          # prune_min_visits
+       st.integers(min_value=1, max_value=4),          # prune window
+       st.integers(min_value=1, max_value=25))         # rounds
+# self-loops only, a wrapping ring sampled below capacity, pruning
+@example(3, 1, 3, 4, 0.5, False, 3, 2, 12)
+# the default full sweep of the buffer, unpruned
+@example(5, 4, 2, 8, 1.0, True, 0, 1, 20)
+def test_learning_matches_reference(seed, n_states, n_buffers, capacity,
+                                    batch_share, adaptive, min_visits,
+                                    window, rounds):
+    """Resolve-once backups leave the table the frozen engine leaves."""
+    params = LearningParams(
+        learning_rate=0.7, discount_factor=0.9,
+        adaptive_learning_rate=adaptive, replay_capacity=capacity,
+        replay_batch=round(batch_share * capacity),
+        prune_min_visits=min_visits, prune_window_rounds=window)
+    pool = [_pool_state(i) for i in range(n_states)]
+    stream = random.Random(seed)
+    ref, new = ReferenceQTable(), QTable()
+    ref_bufs = [ReferenceReplayBuffer(capacity) for _ in range(n_buffers)]
+    new_bufs = [ReplayBuffer(capacity) for _ in range(n_buffers)]
+    ref_rng, new_rng = random.Random(seed + 1), random.Random(seed + 1)
+    for r in range(1, rounds + 1):
+        for k in range(n_buffers):
+            state = stream.choice(pool)
+            nxt = state if stream.random() < 0.3 else stream.choice(pool)
+            reward = (float(stream.randint(2, 12)) if stream.random() < 0.8
+                      else stream.uniform(0.0, 12.0))
+            e = exp(state, stream.choice(ALL_ACTIONS), reward, nxt)
+            assert q_update(new, e, params) == reference_q_update(ref, e,
+                                                                  params)
+            ref_bufs[k].add(e)
+            new_bufs[k].add(new.resolve(e))
+            assert (replay_step(new, new_bufs[k], params, new_rng)
+                    == reference_replay_step(ref, ref_bufs[k], params,
+                                             ref_rng))
+            assert prune(new, params, r) == reference_prune(ref, params, r)
+        _tables_agree(ref, new, pool)
+    assert new_rng.random() == ref_rng.random()
+    with tempfile.TemporaryDirectory() as tmp:
+        ref.dump_csv(Path(tmp) / "ref.csv")
+        new.dump_csv(Path(tmp) / "new.csv")
+        assert ((Path(tmp) / "new.csv").read_bytes()
+                == (Path(tmp) / "ref.csv").read_bytes())
