@@ -1,6 +1,6 @@
 """Golden digests: fixed-seed artifacts must stay byte-identical across changes.
 
-The constants below are the sha256 of every file that five scenarios write
+The constants below are the sha256 of every file that six scenarios write
 with seed 42: the per-run rounds CSVs and summaries, and the aggregate
 comparison table and figure data built from them. A change that moves any of
 them changes what the simulator computes; regenerate them only together with
@@ -32,6 +32,11 @@ SCENARIOS = {
     # A batch smaller than the buffer: locks the replay rng's sample draws.
     "sampled": {"network": {"node_count": 20, "round_count": 60},
                 "learning": {"replay_capacity": 30, "replay_batch": 7}},
+    # Three nodes that never stop exploring: in 5 of 40 rounds no rl-gt agent
+    # founds a cluster, so the geometric partition steps in for stage 1.
+    "fallback": {"network": {"node_count": 3, "round_count": 40,
+                             "stage_target_sizes": [2, 2]},
+                 "learning": {"epsilon_decay_rate": 0.0}},
 }
 
 GOLDEN = {
@@ -129,6 +134,25 @@ GOLDEN = {
         "figdata_cumulative_reward.csv": "24cce67b5f09258187cc591fbd8a0841a05244765b86f4ba0c0dc8effebf8b48",
         "figdata_energy_variance.csv": "298fd0fdb90e0e1d9805bccaa286331125bbad7657bd2664255cfcf77afd2c54",
         "figdata_success_rate.csv": "aafe87251bbb5b27011028b7d82171325d83091ea2f41cddf190adfabe59bba6",
+    },
+    "fallback": {
+        "full-rl_42_rounds.csv": "4f85ad246f226a5dcaf10d57d445fa47162581b41d11a2d9ed8e83549958f2f4",
+        "full-gt_42_rounds.csv": "2dc8683e0f26ada9627d102ba48e4c750d426cfdddec4124a41762fe8cfe3f86",
+        "gt-rl_42_rounds.csv": "182996150cb04cd2c856e75d5b3607bc3fc675cca86e44f0a3587a2eae318e37",
+        "rl-gt_42_rounds.csv": "b166f6ca017b4b8114301ad592a46fb20daec91e7b06cf5d44416e918565b8c2",
+        "baseline_42_rounds.csv": "a5cdeb4f7f7c0ea185a0b178b9a79c08d9019affbd5788c032688cc4997f9a36",
+        "full-rl_42_summary.json": "5ba606a7fb7c3d1008fd074eb0a6e011fb95216aced6c0ddf87342e9fc828676",
+        "full-gt_42_summary.json": "4fc1a48345745a0cfe65d20a62d369579cd63638576244fa1e56f908457d2a9a",
+        "gt-rl_42_summary.json": "722c5875820121a5b4d11d299746abe7e3e892b348a26e3b94ae487910217637",
+        "rl-gt_42_summary.json": "7f0e75a0c7754ad529330f732065198dc68cec365311cb43a6bdb7fca46ea217",
+        "baseline_42_summary.json": "10a44d353f9afbd80119c00591aa8822e767b8aedaf6433aebb61abdd786e81a",
+        "comparison.csv": "2ab466c075031f83aee978af242780befad07303be5a20f0749459f051af31dd",
+        "figdata_active_sensors.csv": "b7f0bb7fbea49e85929b62075c2819ceedb44b42544a39a8aabdec38f1843b56",
+        "figdata_avg_energy.csv": "f713d04a5615af2ea3a735abcfe71df8b1828b661da3efa08c92cb5384af8ec7",
+        "figdata_convergence.csv": "61193a95df6af300972b7994f2afe05e93d918a91edfd52aa97976a52d3d6f80",
+        "figdata_cumulative_reward.csv": "4c1ad8fd6a0d05a1ec9297916276d3552a2d288026f4a0c6ecace59e011bda7d",
+        "figdata_energy_variance.csv": "9ccb7150809c81da92f421ae9c1706e0808d7c4d0ccb83c281601d123a0538e9",
+        "figdata_success_rate.csv": "2ce86c7f6ce9d142c01efc6dffdfa49f8e11b85f8e00b3ab6f7dc188c262baec",
     },
 }
 
