@@ -72,6 +72,9 @@ class SimWorld:
         xs = np.array([nd.x for nd in self.nodes])
         ys = np.array([nd.y for nd in self.nodes])
         self.dist_to_sink = np.hypot(xs - self.sink[0], ys - self.sink[1])
+        # The last alive set partitioned at stage 1 and its (id, members).
+        self._stage1_alive = None
+        self._stage1_members = None
 
     def alive_ids(self) -> list:
         return [nd.id for nd in self.nodes if nd.alive]
@@ -85,6 +88,22 @@ class SimWorld:
     def alive_neighbor_counts(self) -> np.ndarray:
         mask = np.array([nd.alive for nd in self.nodes], dtype=np.int32)
         return self.topology.adjacency_matrix @ mask
+
+    def stage1_partition(self, alive: list) -> list:
+        """The geometric stage-1 clusters of the alive ids, headless.
+
+        Positions never move, so the partition changes only with the alive
+        set; the last one is kept, and the clusters are built afresh each
+        call because head selection writes head_id into them.
+        """
+        key = tuple(alive)
+        if key != self._stage1_alive:
+            clusters = form_clusters(alive, self.topology,
+                                     self.config.stage_target_sizes[0])
+            self._stage1_alive = key
+            self._stage1_members = [(c.id, c.member_ids) for c in clusters]
+        return [Cluster(id=k, member_ids=members)
+                for k, members in self._stage1_members]
 
 
 class _Agent:
@@ -106,7 +125,9 @@ class LearnerPool:
                       params.replay_capacity)
             for i in node_ids
         }
-        self.last_roles = {}
+        # Each survivor's state after the last round's drain, which is its
+        # state when the next round starts; None before round 1.
+        self.next_states = None
 
     def table_for(self, node_id: int) -> QTable:
         return self.agents[node_id].table
@@ -134,9 +155,12 @@ def _observe(world: SimWorld, node_id: int, stage_level: int,
 
 
 def _observe_all(world: SimWorld, pool: LearnerPool) -> dict:
+    """Alive node id -> state at round start: the next states the last
+    round learned toward, or on round 1 a fresh look with no roles held."""
+    if pool.next_states is not None:
+        return pool.next_states
     counts = world.alive_neighbor_counts()
-    return {i: _observe(world, i, pool.last_roles.get(i, 0), counts)
-            for i in world.alive_ids()}
+    return {i: _observe(world, i, 0, counts) for i in world.alive_ids()}
 
 
 def _select_actions(pool: LearnerPool, states: dict, epsilon: float, rng,
@@ -241,11 +265,13 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
     params = pool.params
     new_roles = hierarchy.role_map()
     counts = world.alive_neighbor_counts()
+    next_states = {}
     worst = 0.0
     for i in sorted(states):
         if not world.nodes[i].alive:
             continue
-        next_state = _observe(world, i, new_roles.get(i, 0), counts)
+        next_state = next_states[i] = _observe(world, i, new_roles.get(i, 0),
+                                               counts)
         exp = Experience(states[i], actions[i], reward_total, next_state)
         agent = pool.agents[i]
         delta = q_update(agent.table, exp, params)
@@ -256,7 +282,7 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
         if delta > worst:
             worst = delta
         prune(agent.table, params, round_index)
-    pool.last_roles = new_roles
+    pool.next_states = next_states
     return worst
 
 
@@ -268,12 +294,12 @@ def _clustered_round(world: SimWorld, round_index: int, stage1,
                      rng=None) -> RoundOutcome:
     """The one round the four clustered strategies share.
 
-    `stage1` maps the round's chosen actions to the stage-1 clusters; None
-    leaves stage 1 to the geometric partition. `learned_heads` seats the
+    `stage1` maps the round's alive ids and chosen actions to the stage-1
+    clusters; None leaves stage 1 to build_hierarchy. `learned_heads` seats the
     best-charged volunteer, otherwise utility seats every head. `legal` is
     the action set agents choose from; None means nobody acts or learns.
     """
-    _require_alive(world)
+    alive = _require_alive(world)
     cfg = world.config
     states = actions = None
     epsilon = 0.0
@@ -282,7 +308,7 @@ def _clustered_round(world: SimWorld, round_index: int, stage1,
         epsilon = decay_epsilon(params, round_index - 1)
         actions = _select_actions(pool, states, epsilon, rng, legal)
 
-    clusters = None if stage1 is None else stage1(actions)
+    clusters = None if stage1 is None else stage1(alive, actions)
     if learned_heads:
         selector = _rl_head_selector(actions, world.nodes)
     else:
@@ -311,7 +337,10 @@ def run_round_full_rl(world: SimWorld, pool: LearnerPool,
                       params: LearningParams, round_index: int,
                       rng) -> RoundOutcome:
     """Learned elect-or-defer head selection over the geometric partition."""
-    return _clustered_round(world, round_index, None, learned_heads=True,
+    # One stage is a single cluster, which build_hierarchy makes itself.
+    stage1 = (None if world.config.stage_count == 1
+              else lambda alive, _actions: world.stage1_partition(alive))
+    return _clustered_round(world, round_index, stage1, learned_heads=True,
                             legal=FULL_RL_ACTIONS, pool=pool, params=params,
                             rng=rng)
 
@@ -321,7 +350,7 @@ def run_round_full_gt(world: SimWorld, weights: UtilityWeights,
     """Equilibrium head competition, then utility heads up the hierarchy."""
     return _clustered_round(
         world, round_index,
-        lambda _actions: _equilibrium_clusters(world, weights, True),
+        lambda _alive, _actions: _equilibrium_clusters(world, weights, True),
         learned_heads=False, legal=None, weights=weights)
 
 
@@ -331,7 +360,7 @@ def run_round_gt_rl(world: SimWorld, pool: LearnerPool,
     """Equilibrium memberships; agents learn who stands for election."""
     return _clustered_round(
         world, round_index,
-        lambda _actions: _equilibrium_clusters(world, weights, False),
+        lambda _alive, _actions: _equilibrium_clusters(world, weights, False),
         learned_heads=True, legal=GT_RL_ACTIONS, pool=pool, params=params,
         rng=rng)
 
@@ -340,10 +369,9 @@ def _founder_partition(world: SimWorld, alive: list, actions: dict) -> list:
     """Clusters seeded by agents that chose to form one; everyone else joins
     the nearest founder in range or stands alone. With no founders at all the
     geometric partition steps in."""
-    cfg = world.config
     founders = [i for i in alive if actions.get(i) == RlAction.CLUSTERING]
     if not founders:
-        return form_clusters(alive, world.topology, cfg.stage_target_sizes[0])
+        return world.stage1_partition(alive)
     topo = world.topology
     joiners = [i for i in alive if actions.get(i) != RlAction.CLUSTERING]
     rows, cols = np.ix_(joiners, founders)
@@ -373,7 +401,7 @@ def run_round_rl_gt(world: SimWorld, pool: LearnerPool,
     """Learned memberships; utility picks every head."""
     return _clustered_round(
         world, round_index,
-        lambda actions: _founder_partition(world, world.alive_ids(), actions),
+        lambda alive, actions: _founder_partition(world, alive, actions),
         learned_heads=False, legal=RL_GT_ACTIONS, pool=pool, params=params,
         weights=weights, rng=rng)
 

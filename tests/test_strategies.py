@@ -9,12 +9,16 @@ import pytest
 from wsn_lab import (EnergyModel, LearningParams, NetworkConfig, RlAction,
                      SimWorld, StrategyKind, UtilityWeights, make_world,
                      measure_delay, simulate)
-from wsn_lab.clustering import Cluster, NoAliveNodes, build_hierarchy, select_head_by_energy
+from wsn_lab import strategies
+from wsn_lab.clustering import (Cluster, NoAliveNodes, build_hierarchy,
+                                form_clusters, select_head_by_energy)
 from wsn_lab.game import best_response_dynamics, profile_to_clusters
 from wsn_lab.network import rx_cost, tx_cost
 from wsn_lab.strategies import (LearnerPool, RoundOutcome, _founder_partition,
-                                _rl_head_selector, run_round_baseline,
-                                run_round_full_gt, run_round_full_rl)
+                                _observe, _rl_head_selector,
+                                run_round_baseline, run_round_full_gt,
+                                run_round_full_rl, run_round_gt_rl,
+                                run_round_rl_gt)
 
 from conftest import make_nodes
 
@@ -151,6 +155,115 @@ def test_founder_partition_ties_and_order():
                                    4: RlAction.ELECT_SELF})
     assert [(c.id, c.member_ids) for c in clusters] == \
         [(0, [0, 1]), (1, [2, 3]), (2, [4]), (3, [5])]
+
+
+def counted(monkeypatch, name):
+    """Wrap strategies.<name>; returns the list of argument tuples it sees."""
+    calls = []
+    inner = getattr(strategies, name)
+
+    def wrapper(*args, **kw):
+        calls.append(args)
+        return inner(*args, **kw)
+    monkeypatch.setattr(strategies, name, wrapper)
+    return calls
+
+
+def geometric(world, alive):
+    return [(c.id, c.member_ids) for c in form_clusters(
+        alive, world.topology, world.config.stage_target_sizes[0])]
+
+
+def test_stage1_partition_hit_returns_fresh_headless_clusters(monkeypatch):
+    calls = counted(monkeypatch, "form_clusters")
+    world = make_world(small_config(node_count=30), EnergyModel())
+    alive = world.alive_ids()
+    want = geometric(world, alive)
+    first = world.stage1_partition(alive)
+    assert [(c.id, c.member_ids, c.head_id) for c in first] == \
+        [(k, m, None) for k, m in want]
+    # what head selection (or anyone) writes into one result stays there
+    for c in first:
+        c.head_id = c.member_ids[0]
+    first[0].member_ids.append(99)
+    second = world.stage1_partition(alive)
+    assert len(calls) == 1
+    assert [(c.id, c.member_ids, c.head_id) for c in second] == \
+        [(k, m, None) for k, m in want]
+
+
+def test_stage1_partition_recomputes_when_a_node_dies(monkeypatch):
+    calls = counted(monkeypatch, "form_clusters")
+    world = make_world(small_config(node_count=30), EnergyModel())
+    before = world.stage1_partition(world.alive_ids())
+    dead = before[0].member_ids[0]
+    world.nodes[dead].energy = 0.0
+    alive = world.alive_ids()
+    after = world.stage1_partition(alive)
+    assert len(calls) == 2
+    assert [(c.id, c.member_ids) for c in after] == geometric(world, alive)
+    assert dead not in {m for c in after for m in c.member_ids}
+
+
+def test_full_rl_partitions_stage_one_once_while_nobody_dies(monkeypatch):
+    # stage 2 partitions through clustering.form_clusters, not counted here
+    calls = counted(monkeypatch, "form_clusters")
+    run = simulate(StrategyKind.FULL_RL, small_config(round_count=8),
+                   EnergyModel(), LearningParams(), UtilityWeights())
+    assert [rm.alive_count for rm in run.series] == [20] * 8
+    assert len(calls) == 1
+
+
+def test_full_rl_single_stage_is_one_cluster(monkeypatch):
+    calls = counted(monkeypatch, "form_clusters")
+    world = make_world(small_config(stage_count=1), EnergyModel())
+    pool = LearnerPool([nd.id for nd in world.nodes], QUIET)
+    outcome = run_round_full_rl(world, pool, QUIET, 1, random.Random(1))
+    assert calls == []
+    assert [[c.member_ids for c in stage]
+            for stage in outcome.hierarchy.stages] == [[world.alive_ids()]]
+
+
+LEARNING_ROUNDS = {
+    "full-rl": lambda w, pool, p, t, rng: run_round_full_rl(w, pool, p, t,
+                                                            rng),
+    "gt-rl": lambda w, pool, p, t, rng: run_round_gt_rl(
+        w, pool, UtilityWeights(), p, t, rng),
+    "rl-gt": lambda w, pool, p, t, rng: run_round_rl_gt(
+        w, pool, UtilityWeights(), p, t, rng),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNING_ROUNDS))
+def test_round_start_states_carry_over_exactly(monkeypatch, kind):
+    """The states a round starts from are the ones the last round learned
+    toward, and equal a fresh look at every alive node with the roles the
+    last hierarchy gave; each alive node is observed once per round."""
+    observed = counted(monkeypatch, "observe_state")
+    cfg = NetworkConfig(node_count=18, round_count=40, initial_energy=0.004,
+                        rng_seed=3)
+    world = make_world(cfg, EnergyModel())
+    params = LearningParams()
+    pool = LearnerPool([nd.id for nd in world.nodes], params)
+    rng = random.Random(17)
+    roles = {}
+    death_rounds = 0
+    for t in range(1, cfg.round_count + 1):
+        alive = world.alive_ids()
+        if not alive:
+            break
+        if t > 1:
+            counts = world.alive_neighbor_counts()
+            fresh = [(i, _observe(world, i, roles.get(i, 0), counts))
+                     for i in alive]
+            assert list(pool.next_states.items()) == fresh, t
+        before = len(observed)
+        outcome = LEARNING_ROUNDS[kind](world, pool, params, t, rng)
+        fresh_looks = len(alive) if t == 1 else 0
+        assert len(observed) - before == world.alive_count() + fresh_looks
+        roles = outcome.hierarchy.role_map()
+        death_rounds += bool(outcome.deaths)
+    assert death_rounds >= 2
 
 
 def test_learned_rounds_conserve_energy():
