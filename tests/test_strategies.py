@@ -8,8 +8,7 @@ import pytest
 
 from wsn_lab import (EnergyModel, LearningParams, NetworkConfig, RlAction,
                      SimWorld, StrategyKind, UtilityWeights, make_world,
-                     measure_delay, simulate)
-from wsn_lab import strategies
+                     measure_delay, simulate, strategies)
 from wsn_lab.clustering import (Cluster, NoAliveNodes, build_hierarchy,
                                 form_clusters, select_head_by_energy)
 from wsn_lab.game import best_response_dynamics, profile_to_clusters
@@ -178,18 +177,16 @@ def test_stage1_partition_hit_returns_fresh_headless_clusters(monkeypatch):
     calls = counted(monkeypatch, "form_clusters")
     world = make_world(small_config(node_count=30), EnergyModel())
     alive = world.alive_ids()
-    want = geometric(world, alive)
+    want = [(k, m, None) for k, m in geometric(world, alive)]
     first = world.stage1_partition(alive)
-    assert [(c.id, c.member_ids, c.head_id) for c in first] == \
-        [(k, m, None) for k, m in want]
+    assert [(c.id, c.member_ids, c.head_id) for c in first] == want
     # what head selection (or anyone) writes into one result stays there
     for c in first:
         c.head_id = c.member_ids[0]
     first[0].member_ids.append(99)
     second = world.stage1_partition(alive)
     assert len(calls) == 1
-    assert [(c.id, c.member_ids, c.head_id) for c in second] == \
-        [(k, m, None) for k, m in want]
+    assert [(c.id, c.member_ids, c.head_id) for c in second] == want
 
 
 def test_stage1_partition_recomputes_when_a_node_dies(monkeypatch):
@@ -225,8 +222,7 @@ def test_full_rl_single_stage_is_one_cluster(monkeypatch):
 
 
 LEARNING_ROUNDS = {
-    "full-rl": lambda w, pool, p, t, rng: run_round_full_rl(w, pool, p, t,
-                                                            rng),
+    "full-rl": run_round_full_rl,
     "gt-rl": lambda w, pool, p, t, rng: run_round_gt_rl(
         w, pool, UtilityWeights(), p, t, rng),
     "rl-gt": lambda w, pool, p, t, rng: run_round_rl_gt(
