@@ -4,8 +4,8 @@ from .clustering import (Cluster, ClusterHierarchy, NoAliveNodes,
                          build_hierarchy, form_clusters,
                          select_head_by_energy)
 from .game import (BestResponseResult, UtilityWeights, best_response_dynamics,
-                   head_fitness_base, join_utility, profile_to_clusters,
-                   select_head_by_utility, utility)
+                   head_fitness_base, profile_to_clusters,
+                   select_head_by_utility)
 from .learning import (AgentState, Experience, LearningParams, QTable,
                        ReplayBuffer, RewardBreakdown, RlAction,
                        compute_round_reward, decay_epsilon, q_update,
@@ -31,10 +31,9 @@ __all__ = [
     "Topology", "UtilityWeights", "aggregation_cost",
     "best_response_dynamics", "build_hierarchy", "compute_round_reward",
     "decay_epsilon", "drain", "find_convergence_round", "form_clusters",
-    "generate_network", "head_fitness_base", "join_utility", "make_world",
-    "measure_delay",
+    "generate_network", "head_fitness_base", "make_world", "measure_delay",
     "profile_to_clusters", "q_update", "read_rounds_csv",
     "read_summary_json", "rx_cost", "select_action", "select_head_by_energy",
     "select_head_by_utility", "simulate", "state_space_bound", "summarize",
-    "tx_cost", "utility", "write_rounds_csv", "write_summary_json",
+    "tx_cost", "write_rounds_csv", "write_summary_json",
 ]

@@ -23,7 +23,7 @@ from . import metrics
 from .game import UtilityWeights
 from .learning import LearningParams
 from .network import EnergyModel, NetworkConfig
-from .strategies import RunResult, StrategyKind, simulate
+from .strategies import StrategyKind, simulate
 
 log = logging.getLogger("wsn_lab")
 

@@ -39,34 +39,6 @@ class ClusterHierarchy:
     stages: list                      # list[list[Cluster]]
     final_transmitter: Optional[int] = None
 
-    def heads(self, stage_index: int) -> list:
-        return sorted(c.head_id for c in self.stages[stage_index])
-
-    def participants(self, stage_index: int) -> list:
-        out = []
-        for c in self.stages[stage_index]:
-            out.extend(c.member_ids)
-        return sorted(out)
-
-    def stage_sizes(self) -> list:
-        return [len(self.participants(k)) for k in range(len(self.stages))]
-
-    def role_of(self, node_id: int) -> int:
-        """Highest stage at which the node is a head; 0 for a plain member."""
-        role = 0
-        for k, stage in enumerate(self.stages):
-            for c in stage:
-                if c.head_id == node_id:
-                    role = k + 1
-        return role
-
-    def all_heads(self) -> set:
-        out = set()
-        for stage in self.stages:
-            for c in stage:
-                out.add(c.head_id)
-        return out
-
     def role_map(self) -> dict:
         """node id -> deepest stage led (1-based); absent means plain member."""
         roles = {}

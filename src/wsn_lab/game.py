@@ -9,9 +9,7 @@ nearby and stand themselves when nothing reachable beats them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,32 +33,12 @@ class UtilityWeights:
 class BestResponseResult:
     # node id -> None when standing as a head, else the id of the head followed
     profile: dict
-    converged: bool
+    converged: bool    # always True: an unsettled run raises instead
     passes: int
 
-    def head_ids(self) -> list:
-        return sorted(i for i, tgt in self.profile.items() if tgt is None)
 
-    def followers_of(self, head_id: int) -> list:
-        return sorted(i for i, tgt in self.profile.items() if tgt == head_id)
-
-
-def _normalized_energy(node, initial_energy: float) -> float:
-    return node.energy / initial_energy
-
-
-def mean_neighbor_distance(node_id: int, nodes: list, topology: Topology) -> float:
-    """Mean distance to alive in-range neighbors, normalized by range; 0 if none."""
-    node = nodes[node_id]
-    total = 0.0
-    count = 0
-    for j in topology.neighbors[node_id]:
-        if nodes[j].alive:
-            total += topology.dist(node_id, j)
-            count += 1
-    if count == 0:
-        return 0.0
-    return (total / count) / node.comm_range
+# Measured runs settle within a handful of passes; see best_response_dynamics.
+_MAX_PASSES = 50
 
 
 def head_fitness_base(nodes: list, topology: Topology, weights: UtilityWeights,
@@ -83,37 +61,8 @@ def head_fitness_base(nodes: list, topology: Topology, weights: UtilityWeights,
     return base
 
 
-def utility(node_id: int, nodes: list, topology: Topology,
-            weights: UtilityWeights, *, initial_energy: float,
-            prospective_members: int = 0,
-            neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> float:
-    """Head-fitness of a node: energy minus distance and load penalties."""
-    e_term = _normalized_energy(nodes[node_id], initial_energy)
-    d_term = mean_neighbor_distance(node_id, nodes, topology)
-    n_term = prospective_members / neighbor_cap
-    return (weights.energy_weight * e_term
-            - weights.distance_weight * d_term
-            - weights.load_weight * n_term)
-
-
-def join_utility(follower_id: int, head_id: int, nodes: list,
-                 topology: Topology, weights: UtilityWeights, *,
-                 initial_energy: float, head_load: int = 1,
-                 neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> float:
-    """Payoff of following a head: its energy, discounted by the follower's
-    own link distance and by the head's load counting this follower."""
-    e_term = _normalized_energy(nodes[head_id], initial_energy)
-    d_term = (topology.dist(follower_id, head_id)
-              / nodes[follower_id].comm_range)
-    n_term = head_load / neighbor_cap
-    return (weights.energy_weight * e_term
-            - weights.distance_weight * d_term
-            - weights.load_weight * n_term)
-
-
 def best_response_dynamics(nodes: list, topology: Topology,
                            weights: UtilityWeights, *, initial_energy: float,
-                           max_iters: int = 50,
                            neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> BestResponseResult:
     """Iterate best responses in ascending id order from an all-heads start.
 
@@ -123,8 +72,7 @@ def best_response_dynamics(nodes: list, topology: Topology,
     joining pays a congestion term that grows with the head's follower
     count, so every voluntary switch climbs a shared potential and no
     choice is ever invalidated under a follower; the loop therefore reaches
-    a fixed point. If max_iters passes somehow elapse anyway, falls back to
-    per-neighborhood fitness argmaxes and reports converged=False.
+    a fixed point. Raises RuntimeError if _MAX_PASSES passes elapse anyway.
     """
     alive = sorted(nd.id for nd in nodes if nd.alive)
     alive_set = set(alive)
@@ -141,10 +89,7 @@ def best_response_dynamics(nodes: list, topology: Topology,
     profile = {i: None for i in alive}
     loads = {i: 0 for i in alive}
 
-    converged = False
-    passes = 0
-    for _ in range(max_iters):
-        passes += 1
+    for passes in range(1, _MAX_PASSES + 1):
         changed = False
         for i in alive:
             current = profile[i]
@@ -176,47 +121,18 @@ def best_response_dynamics(nodes: list, topology: Topology,
                 profile[i] = best_choice
                 changed = True
         if not changed:
-            converged = True
-            break
-
-    if not converged:
-        profile = _neighborhood_argmax_profile(alive, reach, base, e_hat,
-                                               dist_unit, topology)
-
-    return BestResponseResult(profile=profile, converged=converged, passes=passes)
-
-
-def _neighborhood_argmax_profile(alive, reach, base, e_hat, dist_unit,
-                                 topology):
-    """Fallback assignment: local fitness maxima stand, everyone else follows
-    the best reachable head by load-free join value, the stranded stand too."""
-    heads = set()
-    for i in alive:
-        key = (base[i], -i)
-        if all(key >= (base[j], -j) for j in reach[i]):
-            heads.add(i)
-    profile = {}
-    for i in alive:
-        if i in heads:
-            profile[i] = None
-            continue
-        options = [h for h in reach[i] if h in heads]
-        if not options:
-            profile[i] = None
-        else:
-            du = dist_unit[i]
-            drow = topology.distance[i]
-            profile[i] = max(options,
-                             key=lambda h: (e_hat[h] - du * drow[h], -h))
-    return profile
+            return BestResponseResult(profile=profile, converged=True,
+                                      passes=passes)
+    raise RuntimeError(f"best response did not settle in {_MAX_PASSES} passes")
 
 
 def profile_to_clusters(result: BestResponseResult):
-    """Materialize the equilibrium as (member_ids, head_id) groupings."""
-    groups = []
-    for h in result.head_ids():
-        groups.append((sorted([h] + result.followers_of(h)), h))
-    return groups
+    """Materialize the equilibrium as (member_ids, head_id) groupings, heads
+    ascending."""
+    members = {}
+    for i, head in result.profile.items():
+        members.setdefault(i if head is None else head, []).append(i)
+    return [(sorted(members[h]), h) for h in sorted(members)]
 
 
 def select_head_by_utility(cluster, nodes: list, topology: Topology,
@@ -238,7 +154,7 @@ def select_head_by_utility(cluster, nodes: list, topology: Topology,
             d_term = mean_d / nodes[i].comm_range
         else:
             d_term = 0.0
-        e_term = _normalized_energy(nodes[i], initial_energy)
+        e_term = nodes[i].energy / initial_energy
         n_term = prospective / neighbor_cap
         return (weights.energy_weight * e_term
                 - weights.distance_weight * d_term

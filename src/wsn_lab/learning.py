@@ -3,13 +3,12 @@ epsilon decay, table pruning, and the five-part round reward."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .network import DEFAULT_NEIGHBOR_CAP, SensorNode, Topology
+from .network import DEFAULT_NEIGHBOR_CAP, SensorNode
 
 
 class RlAction(IntEnum):
@@ -25,9 +24,7 @@ ALL_ACTIONS = tuple(RlAction)
 
 class AgentState(NamedTuple):
     energy_level: int          # 0..9, floor(10 * energy / initial)
-    is_head: bool              # headed any cluster in the previous hierarchy
     neighbor_count: int        # alive in-range neighbors, clamped at the cap
-    energy_ratio_bucket: int   # 0..9 against the network's peak endowment
     stage_level: int           # deepest stage led last round; 0 for members
 
 
@@ -90,7 +87,7 @@ class QTable:
 
     Rows are never deleted: pruning zeroes entries in place, so a replay
     record bound to a row (see `resolve`) stays bound to the live row. A zero
-    entry reads, counts and dumps exactly as an absent one.
+    entry reads and counts exactly as an absent one.
     """
 
     __slots__ = ("_rows",)
@@ -141,46 +138,23 @@ class QTable:
                 if qs[a] != 0.0 or vs[a] != 0:
                     yield state, RlAction(a), qs[a], vs[a]
 
-    def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["energy_level", "is_head", "neighbor_count",
-                             "energy_ratio_bucket", "stage_level",
-                             "action", "q", "visits"])
-            for state, action, qv, visits in sorted(
-                    self.items(), key=lambda it: (it[0], int(it[1]))):
-                writer.writerow([state.energy_level, int(state.is_head),
-                                 state.neighbor_count, state.energy_ratio_bucket,
-                                 state.stage_level, action.name, repr(qv), visits])
-
 
 def state_space_bound(neighbor_cap: int = DEFAULT_NEIGHBOR_CAP,
                       stage_cap: int = 3) -> int:
-    """Upper bound on distinct (state, action) entries per table."""
-    states = 10 * 2 * (neighbor_cap + 1) * 10 * (stage_cap + 1)
+    """Number of distinct (state, action) entries a table can hold."""
+    states = 10 * (neighbor_cap + 1) * (stage_cap + 1)
     return states * len(ALL_ACTIONS)
 
 
-def observe_state(node: SensorNode, topology: Topology, stage_level: int,
-                  nodes: list, *, initial_energy: float,
-                  network_max_energy: float,
+def observe_state(node: SensorNode, stage_level: int, neighbor_count: int,
+                  *, initial_energy: float,
                   neighbor_cap: int = DEFAULT_NEIGHBOR_CAP,
-                  stage_cap: int = 3,
-                  neighbor_count: Optional[int] = None) -> AgentState:
-    """Discretize a node's situation. Pass neighbor_count to skip the scan."""
-    level = min(9, int(10.0 * node.energy / initial_energy))
-    if neighbor_count is None:
-        neighbor_count = sum(1 for j in topology.neighbors[node.id]
-                             if nodes[j].alive)
-    if network_max_energy > 0:
-        bucket = min(9, int(10.0 * node.energy / network_max_energy))
-    else:
-        bucket = 0
-    return AgentState(energy_level=level,
-                      is_head=stage_level > 0,
-                      neighbor_count=min(neighbor_count, neighbor_cap),
-                      energy_ratio_bucket=bucket,
-                      stage_level=min(stage_level, stage_cap))
+                  stage_cap: int = 3) -> AgentState:
+    """Discretize a node's charge, alive neighborhood and stage role."""
+    return AgentState(
+        energy_level=min(9, int(10.0 * node.energy / initial_energy)),
+        neighbor_count=min(neighbor_count, neighbor_cap),
+        stage_level=min(stage_level, stage_cap))
 
 
 def select_action(table: QTable, state: AgentState, epsilon: float, rng,

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -111,9 +110,6 @@ class Topology:
     def dist(self, i: int, j: int) -> float:
         return float(self.distance[i, j])
 
-    def are_neighbors(self, i: int, j: int) -> bool:
-        return bool(self.adjacency_matrix[i, j])
-
 
 def generate_network(config: NetworkConfig):
     """Place node_count sensors uniformly in the square; returns (nodes, topology).
@@ -154,6 +150,3 @@ def drain(node: SensorNode, amount: float) -> SensorNode:
     node.energy = max(0.0, node.energy - amount)
     return node
 
-
-def distance_to(node: SensorNode, point: tuple) -> float:
-    return math.hypot(node.x - point[0], node.y - point[1])

@@ -147,11 +147,10 @@ def _require_alive(world: SimWorld) -> list:
 def _observe(world: SimWorld, node_id: int, stage_level: int,
              counts: np.ndarray) -> AgentState:
     cfg = world.config
-    return observe_state(
-        world.nodes[node_id], world.topology, stage_level, world.nodes,
-        initial_energy=cfg.initial_energy,
-        network_max_energy=cfg.initial_energy, stage_cap=cfg.stage_count,
-        neighbor_count=int(counts[node_id]))
+    return observe_state(world.nodes[node_id], stage_level,
+                         int(counts[node_id]),
+                         initial_energy=cfg.initial_energy,
+                         stage_cap=cfg.stage_count)
 
 
 def _observe_all(world: SimWorld, pool: LearnerPool) -> dict:

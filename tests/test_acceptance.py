@@ -21,19 +21,20 @@ from wsn_lab import (EnergyModel, Experience, LearningParams, NetworkConfig,
                      state_space_bound)
 from wsn_lab.clustering import (Cluster, ClusterHierarchy, build_hierarchy,
                                 form_clusters, select_head_by_energy)
-from wsn_lab.game import (best_response_dynamics, join_utility,
-                          profile_to_clusters, select_head_by_utility, utility)
+from wsn_lab.game import (best_response_dynamics, profile_to_clusters,
+                          select_head_by_utility)
 from wsn_lab.learning import ALL_ACTIONS, AgentState, RlAction
 from wsn_lab.metrics import find_convergence_round, write_rounds_csv
 from wsn_lab.strategies import make_world, run_round_full_gt
 
 from conftest import make_nodes
+from reference_game import join_utility, utility
 
 SEEDS = tuple(range(42, 52))
 CLUSTERED = ("full-rl", "gt-rl", "rl-gt", "full-gt")
 
-S0 = AgentState(9, False, 3, 9, 0)
-S1 = AgentState(8, True, 3, 8, 1)
+S0 = AgentState(9, 3, 0)
+S1 = AgentState(8, 3, 1)
 FIXED = LearningParams(adaptive_learning_rate=False)
 
 
@@ -359,7 +360,8 @@ def test_partition_and_hierarchy_invariants_at_scale():
             nodes, topo, lambda c: select_head_by_energy(c, nodes),
             stage_count=rng.randint(2, 4),
             stage_target_sizes=(rng.randint(2, 6), rng.randint(2, 4)))
-        assert hier.participants(0) == sorted(alive)
+        assert (sorted(m for c in hier.stages[0] for m in c.member_ids)
+                == sorted(alive))
         sizes = []
         for k, stage in enumerate(hier.stages):
             members = [m for c in stage for m in c.member_ids]

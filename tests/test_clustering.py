@@ -21,6 +21,32 @@ def random_layout(seed, n, side=100.0):
     return make_nodes(positions, comm_range=side)
 
 
+def heads(h, stage_index):
+    return sorted(c.head_id for c in h.stages[stage_index])
+
+
+def participants(h, stage_index):
+    return sorted(m for c in h.stages[stage_index] for m in c.member_ids)
+
+
+def stage_sizes(h):
+    return [len(participants(h, k)) for k in range(len(h.stages))]
+
+
+def role_of(h, node_id):
+    """Highest stage at which the node is a head; 0 for a plain member."""
+    role = 0
+    for k, stage in enumerate(h.stages):
+        for c in stage:
+            if c.head_id == node_id:
+                role = k + 1
+    return role
+
+
+def all_heads(h):
+    return {c.head_id for stage in h.stages for c in stage}
+
+
 def test_two_far_pairs_cluster_together():
     nodes, topo = make_nodes([(0, 0), (0, 1), (50, 0), (50, 1)])
     clusters = form_clusters([0, 1, 2, 3], topo, target_size=2)
@@ -91,14 +117,14 @@ def test_hierarchy_contracts_to_single_transmitter():
     nodes, topo = random_layout(21, 100)
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=3, stage_target_sizes=(5, 4))
-    assert h.stage_sizes() == [100, 20, 5]
+    assert stage_sizes(h) == [100, 20, 5]
     assert len(h.stages[-1]) == 1
     assert h.final_transmitter == h.stages[-1][0].head_id
     # each stage re-clusters exactly the previous stage's heads
     for k in range(len(h.stages) - 1):
-        assert h.participants(k + 1) == h.heads(k)
+        assert participants(h, k + 1) == heads(h, k)
     # strictly shrinking participant counts
-    sizes = h.stage_sizes()
+    sizes = stage_sizes(h)
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
 
@@ -109,8 +135,8 @@ def test_hierarchy_respects_preset_stage_one():
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=3, stage_target_sizes=(5, 4),
                         stage1_clusters=stage1)
-    assert h.heads(0) == [4, 9]
-    assert h.participants(1) == [4, 9]
+    assert heads(h, 0) == [4, 9]
+    assert participants(h, 1) == [4, 9]
     assert h.final_transmitter in (4, 9)
 
 
@@ -119,7 +145,7 @@ def test_hierarchy_single_node_short_circuits():
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=3, stage_target_sizes=(5, 4))
     assert h.final_transmitter == 0
-    assert h.stage_sizes()[0] == 1
+    assert stage_sizes(h)[0] == 1
 
 
 def test_hierarchy_ignores_dead_nodes():
@@ -128,9 +154,9 @@ def test_hierarchy_ignores_dead_nodes():
     nodes[7].energy = 0.0
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=2, stage_target_sizes=(4,))
-    assert 3 not in h.participants(0)
-    assert 7 not in h.participants(0)
-    assert len(h.participants(0)) == 10
+    assert 3 not in participants(h, 0)
+    assert 7 not in participants(h, 0)
+    assert len(participants(h, 0)) == 10
 
 
 def test_hierarchy_requires_a_survivor():
@@ -149,14 +175,14 @@ def test_role_and_parent_maps_agree():
                         stage_count=3, stage_target_sizes=(5, 4))
     roles = h.role_map()
     parents = h.parent_map()
-    assert set(roles) == h.all_heads()
+    assert set(roles) == all_heads(h)
     assert h.final_transmitter not in parents
-    for nid in h.participants(0):
+    for nid in participants(h, 0):
         if nid != h.final_transmitter:
-            assert parents[nid] in h.all_heads()
+            assert parents[nid] in all_heads(h)
     for nid, role in roles.items():
-        assert h.role_of(nid) == role
-    assert h.role_of(h.final_transmitter) == len(h.stages)
+        assert role_of(h, nid) == role
+    assert role_of(h, h.final_transmitter) == len(h.stages)
 
 
 def _layout(kind, seed, n):

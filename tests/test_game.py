@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsn_lab import (UtilityWeights, best_response_dynamics, join_utility,
+from wsn_lab import (UtilityWeights, best_response_dynamics,
                      profile_to_clusters, select_head_by_energy,
-                     select_head_by_utility, utility)
+                     select_head_by_utility)
+from wsn_lab import game
 from wsn_lab.clustering import Cluster
-from wsn_lab.game import head_fitness_base, mean_neighbor_distance
+from wsn_lab.game import head_fitness_base
 from wsn_lab.network import DEFAULT_NEIGHBOR_CAP
 
 from conftest import make_nodes
+from reference_game import join_utility, mean_neighbor_distance, utility
 
 
 def random_instance(seed, n=None, side=60.0):
@@ -196,6 +198,20 @@ def test_best_response_converges_well_inside_the_cap(instance):
     assert _is_stable(result.profile, nodes, topo, w, base)
 
 
+def test_best_response_raises_at_the_pass_cap(monkeypatch):
+    # node 0 joins the better-charged node 1 in pass 1; pass 2 confirms it
+    nodes, topo = make_nodes([(0, 0), (10, 0)], [0.5, 1.0], comm_range=30.0)
+    monkeypatch.setattr(game, "_MAX_PASSES", 1)
+    with pytest.raises(RuntimeError, match="1 passes"):
+        best_response_dynamics(nodes, topo, UtilityWeights(),
+                               initial_energy=1.0)
+    monkeypatch.setattr(game, "_MAX_PASSES", 2)
+    result = best_response_dynamics(nodes, topo, UtilityWeights(),
+                                    initial_energy=1.0)
+    assert result.profile == {0: 1, 1: None}
+    assert result.passes == 2
+
+
 def test_equilibrium_in_enumerated_stable_set():
     """On tiny instances, compare against every profile there is."""
     w = UtilityWeights()
@@ -230,7 +246,7 @@ def test_zero_distance_and_load_weights_reduce_to_energy_chase():
             standing = [j for j in topo.neighbors[i]
                         if result.profile.get(j) is None]
             if tgt is None:
-                if result.followers_of(i):
+                if i in result.profile.values():
                     continue   # serving heads are committed where they stand
                 assert all(nodes[j].energy <= nodes[i].energy
                            for j in standing)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wsn_lab import (EnergyModel, NetworkConfig, SensorNode, Topology,
                      aggregation_cost, drain, generate_network, rx_cost,
                      tx_cost)
-from wsn_lab.network import distance_to
 
 MODEL = EnergyModel()
 
@@ -65,12 +64,13 @@ def test_nodes_start_full_and_inside_area():
 def test_adjacency_symmetric_and_irreflexive(seed):
     cfg = NetworkConfig(node_count=20, rng_seed=seed, round_count=1)
     nodes, topo = generate_network(cfg)
+    adjacent = topo.adjacency_matrix
     for i in range(20):
-        assert not topo.are_neighbors(i, i)
+        assert not adjacent[i, i]
         for j in range(20):
-            assert topo.are_neighbors(i, j) == topo.are_neighbors(j, i)
+            assert adjacent[i, j] == adjacent[j, i]
             expected = 0 < topo.dist(i, j) <= cfg.comm_range
-            assert topo.are_neighbors(i, j) == (i != j and expected)
+            assert adjacent[i, j] == (i != j and expected)
 
 
 def test_distance_matrix_matches_geometry():
@@ -78,7 +78,6 @@ def test_distance_matrix_matches_geometry():
              SensorNode(1, 3.0, 4.0, 1.0, 10.0)]
     topo = Topology(nodes)
     assert math.isclose(topo.dist(0, 1), 5.0, rel_tol=1e-12)
-    assert math.isclose(distance_to(nodes[1], (0.0, 0.0)), 5.0, rel_tol=1e-12)
 
 
 def test_drain_clamps_at_zero_and_kills():

@@ -262,6 +262,18 @@ def test_round_start_states_carry_over_exactly(monkeypatch, kind):
     assert death_rounds >= 2
 
 
+def test_alive_neighbor_counts_skip_dead_neighbors():
+    world = make_world(small_config(), EnergyModel())
+    everyone = world.alive_neighbor_counts().tolist()
+    for dead in (0, 4, 11):
+        world.nodes[dead].energy = 0.0
+    counts = world.alive_neighbor_counts().tolist()
+    assert counts == [sum(1 for j in world.topology.neighbors[i]
+                          if world.nodes[j].alive)
+                      for i in range(len(world.nodes))]
+    assert sum(counts) < sum(everyone)
+
+
 def test_learned_rounds_conserve_energy():
     cfg = small_config()
     world = make_world(cfg, EnergyModel())
@@ -287,7 +299,8 @@ def test_dead_nodes_never_act():
         assert dead not in outcome.delivered
         assert dead not in outcome.energy_spent
         assert world.nodes[dead].energy == 0.0
-        assert dead not in outcome.hierarchy.participants(0)
+        assert dead not in {m for c in outcome.hierarchy.stages[0]
+                            for m in c.member_ids}
 
 
 def test_measure_delay_counts_delivered_only():
