@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 from . import metrics
@@ -71,26 +74,23 @@ def _build_section(cls, data, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# Scenario sections, each parsed into its config dataclass.
+_SECTIONS = {"network": NetworkConfig, "energy": EnergyModel,
+             "learning": LearningParams, "weights": UtilityWeights}
+
+
 def parse_scenario(data: dict) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
-    known = {"network", "energy", "learning", "weights", "strategies",
-             "seeds", "output_dir"}
+    known = {f.name for f in dataclasses.fields(ScenarioSpec)}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
 
     spec = ScenarioSpec()
-    if "network" in data:
-        spec.network = _build_section(NetworkConfig, data["network"], "network")
-    if "energy" in data:
-        spec.energy = _build_section(EnergyModel, data["energy"], "energy")
-    if "learning" in data:
-        spec.learning = _build_section(LearningParams, data["learning"],
-                                       "learning")
-    if "weights" in data:
-        spec.weights = _build_section(UtilityWeights, data["weights"],
-                                      "weights")
+    for name, cls in _SECTIONS.items():
+        if name in data:
+            setattr(spec, name, _build_section(cls, data[name], name))
     if "strategies" in data:
         raw = data["strategies"]
         if not isinstance(raw, list) or not raw:
@@ -171,22 +171,17 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1):
 
     runs = []
     failures = []
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_execute_run, jb) for jb in jobs_list]
-            for jb, fut in zip(jobs_list, futures):
-                strategy, cfg = jb[0], jb[1]
-                try:
-                    runs.append(fut.result())
-                except Exception as exc:
-                    failures.append((strategy.value, cfg.rng_seed, str(exc)))
-                    log.error("run %s seed %d failed: %s", strategy.value,
-                              cfg.rng_seed, exc)
-    else:
-        for jb in jobs_list:
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            calls = [pool.submit(_execute_run, jb).result for jb in jobs_list]
+        else:
+            calls = [functools.partial(_execute_run, jb) for jb in jobs_list]
+        for jb, call in zip(jobs_list, calls):
             strategy, cfg = jb[0], jb[1]
             try:
-                runs.append(_execute_run(jb))
+                runs.append(call())
             except Exception as exc:
                 failures.append((strategy.value, cfg.rng_seed, str(exc)))
                 log.error("run %s seed %d failed: %s", strategy.value,
@@ -264,59 +259,51 @@ def write_comparison_csv(path, summaries) -> None:
         for fi, frac in enumerate(fractions):
             row = [int(frac * 100)]
             for value in ordered:
-                row.extend(repr(v) for v in _seed_means(groups[value], fi))
+                row.extend(_seed_means(groups[value], fi))
             writer.writerow(row)
 
 
+# Figure name -> the RoundMetrics field it plots.
 _FIGURES = {
-    "avg_energy": lambda rm: rm.mean_soc_pct,
-    "energy_variance": lambda rm: rm.soc_variance,
-    "active_sensors": lambda rm: float(rm.alive_count),
-    "cumulative_reward": lambda rm: rm.cumulative_reward,
-    "convergence": lambda rm: rm.max_q_delta,
+    "avg_energy": "mean_soc_pct",
+    "energy_variance": "soc_variance",
+    "active_sensors": "alive_count",
+    "cumulative_reward": "cumulative_reward",
+    "convergence": "max_q_delta",
+    "success_rate": "success",
 }
+
+
+def _run_values(series, name: str, horizon: int) -> list:
+    """One run's value of a RoundMetrics field at rounds 1..horizon.
+
+    A run that ended early (network death) holds its last value, except
+    success, which is a running rate that counts a dead network's rounds as
+    failures.
+    """
+    last = len(series) - 1
+    if name == "success":
+        wins = list(accumulate(int(rm.success) for rm in series))
+        return [wins[min(t, last)] / (t + 1) for t in range(horizon)]
+    return [getattr(series[min(t, last)], name) for t in range(horizon)]
 
 
 def write_figdata(out_dir: Path, summaries, series_map: dict) -> None:
     """Per-figure plot series: round index vs per-strategy seed means.
 
     `series_map` maps (strategy value, seed) to that run's round series.
-    Runs that ended early (network death) hold their last value, except the
-    success series, which counts a dead network as a failed round.
     """
     ordered, groups = _group_by_strategy(summaries)
     horizon = max(len(series_map[(s.strategy, s.seed)]) for s in summaries)
-
-    for fig, extract in _FIGURES.items():
+    for fig, name in _FIGURES.items():
+        runs = [[_run_values(series_map[(value, s.seed)], name, horizon)
+                 for s in groups[value]] for value in ordered]
         with open(out_dir / f"figdata_{fig}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round"] + ordered)
             for t in range(horizon):
-                row = [t + 1]
-                for value in ordered:
-                    vals = []
-                    for s in groups[value]:
-                        series = series_map[(value, s.seed)]
-                        rm = series[min(t, len(series) - 1)]
-                        vals.append(extract(rm))
-                    row.append(repr(sum(vals) / len(vals)))
-                writer.writerow(row)
-
-    with open(out_dir / "figdata_success_rate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round"] + ordered)
-        running = {value: [0.0] * len(groups[value]) for value in ordered}
-        for t in range(horizon):
-            row = [t + 1]
-            for value in ordered:
-                rates = []
-                for si, s in enumerate(groups[value]):
-                    series = series_map[(value, s.seed)]
-                    if t < len(series) and series[t].success:
-                        running[value][si] += 1.0
-                    rates.append(running[value][si] / (t + 1))
-                row.append(repr(sum(rates) / len(rates)))
-            writer.writerow(row)
+                writer.writerow([t + 1] + [sum(v[t] for v in values)
+                                           / len(values) for values in runs])
 
 
 def write_aggregates(out_dir: Path, summaries, series_map: dict) -> None:
@@ -327,18 +314,31 @@ def write_aggregates(out_dir: Path, summaries, series_map: dict) -> None:
         raise IoError(f"cannot write aggregates in {out_dir}: {exc}") from exc
 
 
+def _read_output(reader, path):
+    """Read one run file, turning any way it can be unreadable into IoError."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            csv.Error) as exc:
+        raise IoError(
+            f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_output_dir(out_dir: Path):
     """Re-read the summaries a previous run left behind, and the round series
     of each as a map from (strategy value, seed)."""
     paths = sorted(out_dir.glob("*_summary.json"))
     if not paths:
         raise IoError(f"no *_summary.json files in {out_dir}")
-    summaries = [metrics.read_summary_json(p) for p in paths]
-    try:
-        series_map = {(s.strategy, s.seed): metrics.read_rounds_csv(
-            out_dir / f"{s.strategy}_{s.seed}_rounds.csv") for s in summaries}
-    except OSError as exc:
-        raise IoError(f"cannot read round series in {out_dir}: {exc}") from exc
+    summaries = [_read_output(metrics.read_summary_json, p) for p in paths]
+    series_map = {}
+    for s in summaries:
+        path = out_dir / f"{s.strategy}_{s.seed}_rounds.csv"
+        series = _read_output(metrics.read_rounds_csv, path)
+        if not series or len(series) != s.executed_rounds:
+            raise IoError(f"cannot read {path}: expected {s.executed_rounds} "
+                          f"rounds (at least 1), found {len(series)}")
+        series_map[(s.strategy, s.seed)] = series
     return summaries, series_map
 
 

@@ -62,8 +62,8 @@ def head_fitness_base(nodes: list, topology: Topology, weights: UtilityWeights,
 
 
 def best_response_dynamics(nodes: list, topology: Topology,
-                           weights: UtilityWeights, *, initial_energy: float,
-                           neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> BestResponseResult:
+                           weights: UtilityWeights, *,
+                           initial_energy: float) -> BestResponseResult:
     """Iterate best responses in ascending id order from an all-heads start.
 
     Deterministic for a given set of ids, energies, positions, and weights.
@@ -82,7 +82,7 @@ def best_response_dynamics(nodes: list, topology: Topology,
              for i in alive}
     reach = {i: [j for j in topology.neighbors[i] if j in alive_set]
              for i in alive}
-    load_unit = weights.load_weight / neighbor_cap
+    load_unit = weights.load_weight / DEFAULT_NEIGHBOR_CAP
     dist_unit = {i: weights.distance_weight / nodes[i].comm_range
                  for i in alive}
 
@@ -136,8 +136,8 @@ def profile_to_clusters(result: BestResponseResult):
 
 
 def select_head_by_utility(cluster, nodes: list, topology: Topology,
-                           weights: UtilityWeights, *, initial_energy: float,
-                           neighbor_cap: int = DEFAULT_NEIGHBOR_CAP) -> int:
+                           weights: UtilityWeights, *,
+                           initial_energy: float) -> int:
     """The member with the highest head-fitness for this cluster.
 
     The distance term here is the candidate's mean distance to the members
@@ -155,7 +155,7 @@ def select_head_by_utility(cluster, nodes: list, topology: Topology,
         else:
             d_term = 0.0
         e_term = nodes[i].energy / initial_energy
-        n_term = prospective / neighbor_cap
+        n_term = prospective / DEFAULT_NEIGHBOR_CAP
         return (weights.energy_weight * e_term
                 - weights.distance_weight * d_term
                 - weights.load_weight * n_term)

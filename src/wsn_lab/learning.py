@@ -147,13 +147,11 @@ def state_space_bound(neighbor_cap: int = DEFAULT_NEIGHBOR_CAP,
 
 
 def observe_state(node: SensorNode, stage_level: int, neighbor_count: int,
-                  *, initial_energy: float,
-                  neighbor_cap: int = DEFAULT_NEIGHBOR_CAP,
-                  stage_cap: int = 3) -> AgentState:
+                  *, initial_energy: float, stage_cap: int = 3) -> AgentState:
     """Discretize a node's charge, alive neighborhood and stage role."""
     return AgentState(
         energy_level=min(9, int(10.0 * node.energy / initial_energy)),
-        neighbor_count=min(neighbor_count, neighbor_cap),
+        neighbor_count=min(neighbor_count, DEFAULT_NEIGHBOR_CAP),
         stage_level=min(stage_level, stage_cap))
 
 

@@ -1,11 +1,11 @@
-"""Per-round measurement and end-of-run aggregation."""
+"""Round metrics and run summaries; the dataclasses define the file formats."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -20,10 +20,6 @@ class EmptySeries(Exception):
 SOC_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 TABLE_FRACTIONS = tuple(round(f * 0.1, 1) for f in range(10))
 
-CSV_COLUMNS = ("round", "mean_soc_pct", "soc_variance", "alive_count",
-               "cumulative_reward", "round_reward", "mean_delay", "success",
-               "max_q_delta")
-
 
 @dataclass
 class RoundMetrics:
@@ -36,6 +32,12 @@ class RoundMetrics:
     mean_delay: float
     success: bool
     max_q_delta: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
+# How each rounds-CSV cell is read back; every column not listed is a float.
+_CSV_PARSERS = {"round": int, "alive_count": int,
+                "success": lambda cell: cell == "1"}
 
 
 @dataclass
@@ -54,16 +56,6 @@ class RunSummary:
     alive_at_fractions: tuple
     variance_at_fractions: tuple
     reward_at_fractions: tuple
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["soc_at_fractions"] = {str(k): v
-                                 for k, v in self.soc_at_fractions.items()}
-        d["table_fractions"] = list(self.table_fractions)
-        d["alive_at_fractions"] = list(self.alive_at_fractions)
-        d["variance_at_fractions"] = list(self.variance_at_fractions)
-        d["reward_at_fractions"] = list(self.reward_at_fractions)
-        return d
 
 
 def _success_for(strategy_value: str, outcome) -> bool:
@@ -120,9 +112,7 @@ def find_convergence_round(series, tolerance: float = 0.01,
     return None
 
 
-def summarize(series, config, strategy_value: str, *,
-              convergence_tolerance: float = 0.01,
-              convergence_window: int = 20) -> RunSummary:
+def summarize(series, config, strategy_value: str) -> RunSummary:
     """Collapse a round series into the end-of-run summary."""
     if not series:
         raise EmptySeries("cannot summarize an empty metric series")
@@ -131,17 +121,10 @@ def summarize(series, config, strategy_value: str, *,
     soc_at = {f: series[_sample_index(f, planned, n)].mean_soc_pct
               for f in SOC_FRACTIONS}
     last = series[-1]
-    if strategy_value in RL_BEARING:
-        convergence = find_convergence_round(
-            series, convergence_tolerance, convergence_window)
-    else:
-        convergence = None
-    alive_at = tuple(series[_sample_index(f, planned, n)].alive_count
-                     for f in TABLE_FRACTIONS)
-    var_at = tuple(series[_sample_index(f, planned, n)].soc_variance
-                   for f in TABLE_FRACTIONS)
-    reward_at = tuple(series[_sample_index(f, planned, n)].cumulative_reward
-                      for f in TABLE_FRACTIONS)
+    convergence = (find_convergence_round(series)
+                   if strategy_value in RL_BEARING else None)
+    table_rows = [series[_sample_index(f, planned, n)]
+                  for f in TABLE_FRACTIONS]
     return RunSummary(
         strategy=strategy_value,
         seed=config.rng_seed,
@@ -154,67 +137,45 @@ def summarize(series, config, strategy_value: str, *,
         convergence_round=convergence,
         success_rate=sum(1 for rm in series if rm.success) / n,
         table_fractions=TABLE_FRACTIONS,
-        alive_at_fractions=alive_at,
-        variance_at_fractions=var_at,
-        reward_at_fractions=reward_at,
+        alive_at_fractions=tuple(rm.alive_count for rm in table_rows),
+        variance_at_fractions=tuple(rm.soc_variance for rm in table_rows),
+        reward_at_fractions=tuple(rm.cumulative_reward for rm in table_rows),
     )
 
 
 def write_rounds_csv(path, series) -> None:
-    """One row per round; floats via repr so reruns are byte-identical."""
+    """One row per round, one column per RoundMetrics field. csv writes a
+    float as str, which is repr, so reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rm in series:
-            writer.writerow([rm.round, repr(rm.mean_soc_pct),
-                             repr(rm.soc_variance), rm.alive_count,
-                             repr(rm.cumulative_reward), repr(rm.round_reward),
-                             repr(rm.mean_delay), int(rm.success),
-                             repr(rm.max_q_delta)])
+            writer.writerow([int(v) if isinstance(v, bool) else v
+                             for v in vars(rm).values()])
 
 
 def read_rounds_csv(path) -> list:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(RoundMetrics(
-                round=int(row["round"]),
-                mean_soc_pct=float(row["mean_soc_pct"]),
-                soc_variance=float(row["soc_variance"]),
-                alive_count=int(row["alive_count"]),
-                cumulative_reward=float(row["cumulative_reward"]),
-                round_reward=float(row["round_reward"]),
-                mean_delay=float(row["mean_delay"]),
-                success=row["success"] == "1",
-                max_q_delta=float(row["max_q_delta"]),
-            ))
-    return out
+        return [RoundMetrics(**{c: _CSV_PARSERS.get(c, float)(row[c])
+                                for c in CSV_COLUMNS})
+                for row in csv.DictReader(fh)]
 
 
 def write_summary_json(path, summary: RunSummary) -> None:
     with open(path, "w") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_summary_json(path) -> RunSummary:
+    """Unknown keys are ignored and a missing one raises KeyError. JSON has
+    no tuples and no float keys, so those fields are rebuilt."""
     with open(path) as fh:
         d = json.load(fh)
-    return RunSummary(
-        strategy=d["strategy"],
-        seed=d["seed"],
-        planned_rounds=d["planned_rounds"],
-        executed_rounds=d["executed_rounds"],
-        node_count=d["node_count"],
-        soc_at_fractions={float(k): v
-                          for k, v in d["soc_at_fractions"].items()},
-        eliminated_nodes=d["eliminated_nodes"],
-        longevity_pct=d["longevity_pct"],
-        convergence_round=d["convergence_round"],
-        success_rate=d["success_rate"],
-        table_fractions=tuple(d["table_fractions"]),
-        alive_at_fractions=tuple(d["alive_at_fractions"]),
-        variance_at_fractions=tuple(d["variance_at_fractions"]),
-        reward_at_fractions=tuple(d["reward_at_fractions"]),
-    )
+    kwargs = {f.name: d[f.name] for f in fields(RunSummary)}
+    kwargs["soc_at_fractions"] = {
+        float(k): v for k, v in kwargs["soc_at_fractions"].items()}
+    for name in ("table_fractions", "alive_at_fractions",
+                 "variance_at_fractions", "reward_at_fractions"):
+        kwargs[name] = tuple(kwargs[name])
+    return RunSummary(**kwargs)

@@ -460,14 +460,14 @@ def run_round_baseline(world: SimWorld, round_index: int) -> RoundOutcome:
                         energy_spent=spent, deaths=deaths)
 
 
-def measure_delay(outcome: RoundOutcome,
-                  processing_per_hop: float = 1.0) -> float:
-    """Mean delay over delivered packets: travel plus per-hop processing."""
+def measure_delay(outcome: RoundOutcome) -> float:
+    """Mean delay over delivered packets: each hop costs one time unit of
+    travel and one of processing."""
     total = 0.0
     count = 0
     for i, ok in outcome.delivered.items():
         if ok:
-            total += outcome.hop_counts[i] * (1.0 + processing_per_hop)
+            total += outcome.hop_counts[i] * 2.0
             count += 1
     return total / count if count else 0.0
 

@@ -164,14 +164,67 @@ def test_run_builds_figdata_from_memory_and_compare_matches(tmp_path,
         == written
 
 
-def test_compare_missing_round_series_fails_cleanly(tmp_path, capsys):
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _edit_summary(edit):
+    def spoil(path):
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+    return spoil
+
+
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _no_rounds(path):
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    _edit_summary(lambda d: d.update(executed_rounds=0))(
+        path.with_name("baseline_2_summary.json"))
+
+
+def _bad_cell(path):
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[1] = "abc"
+    path.write_text("".join([header, ",".join(cells)] + rest))
+
+
+@pytest.mark.parametrize("name,spoil", [
+    ("baseline_2_rounds.csv", lambda path: path.unlink()),
+    ("baseline_2_summary.json", _truncate),
+    ("baseline_2_summary.json", _edit_summary(lambda d: d.pop("seed"))),
+    ("baseline_2_summary.json",
+     _edit_summary(lambda d: d.update(soc_at_fractions=[]))),
+    ("baseline_2_rounds.csv", _bad_cell),
+    ("baseline_2_rounds.csv", _drop_last_row),
+    ("baseline_2_rounds.csv", _no_rounds),
+], ids=["missing-csv", "truncated-json", "no-seed", "list-for-map",
+        "bad-cell", "short-csv", "no-rounds"])
+def test_compare_unreadable_output_fails_cleanly(tmp_path, capsys, name,
+                                                 spoil):
     out = tmp_path / "out"
     path = write_config(tmp_path, dict(TINY, output_dir=str(out)))
     assert main(["run", "--config", str(path), "--quiet"]) == 0
-    (out / "baseline_2_rounds.csv").unlink()
+    spoil(out / name)
     capsys.readouterr()
     assert main(["compare", "--in", str(out), "--quiet"]) == 2
-    assert "baseline_2_rounds.csv" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
+
+
+def test_parallel_jobs_write_identical_outputs(tmp_path):
+    dirs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), dirs):
+        _summaries, failures = run_scenario(
+            parse_scenario(dict(TINY, output_dir=str(out))), jobs=jobs)
+        assert failures == []
+    serial, parallel = ({p.name: p.read_bytes() for p in out.iterdir()}
+                        for out in dirs)
+    assert len(serial) == 4 * 2 + 7     # runs x files, comparison, figdata
+    assert parallel == serial
 
 
 def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
