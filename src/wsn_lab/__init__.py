@@ -11,14 +11,14 @@ from .learning import (AgentState, Experience, LearningParams, QTable,
                        compute_round_reward, decay_epsilon, q_update,
                        select_action, state_space_bound)
 from .metrics import (EmptySeries, RoundMetrics, RunSummary,
-                      find_convergence_round, read_rounds_csv,
+                      find_convergence_round, measure_delay, read_rounds_csv,
                       read_summary_json, summarize, write_rounds_csv,
                       write_summary_json)
 from .network import (EnergyModel, NetworkConfig, SensorNode, Topology,
                       aggregation_cost, drain, generate_network, rx_cost,
                       tx_cost)
 from .strategies import (RoundOutcome, RunResult, SimWorld, StrategyKind,
-                         make_world, measure_delay, simulate)
+                         make_world, simulate)
 
 __version__ = "0.1.0"
 

@@ -30,10 +30,6 @@ from .strategies import StrategyKind, simulate
 
 log = logging.getLogger("wsn_lab")
 
-STRATEGY_ORDER = [StrategyKind.FULL_RL, StrategyKind.FULL_GT,
-                  StrategyKind.GT_RL, StrategyKind.RL_GT,
-                  StrategyKind.BASELINE]
-
 
 class ConfigError(Exception):
     """Configuration problem, message prefixed with the offending field path."""
@@ -49,7 +45,7 @@ class ScenarioSpec:
     energy: EnergyModel = field(default_factory=EnergyModel)
     learning: LearningParams = field(default_factory=LearningParams)
     weights: UtilityWeights = field(default_factory=UtilityWeights)
-    strategies: list = field(default_factory=lambda: list(STRATEGY_ORDER))
+    strategies: list = field(default_factory=lambda: list(StrategyKind))
     seeds: list = field(default_factory=lambda: [42])
     output_dir: str = "out"
 
@@ -207,7 +203,7 @@ def _group_by_strategy(summaries):
     groups = {}
     for s in summaries:
         groups.setdefault(s.strategy, []).append(s)
-    ordered = [k.value for k in STRATEGY_ORDER if k.value in groups]
+    ordered = [k.value for k in StrategyKind if k.value in groups]
     for value in groups:
         if value not in ordered:
             ordered.append(value)

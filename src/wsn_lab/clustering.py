@@ -183,30 +183,23 @@ def build_hierarchy(nodes: list, topology: Topology,
 
     stages = []
     participants = alive_ids
-    for stage_num in range(1, stage_count + 1):
-        if stage_num == 1 and stage1_clusters is not None:
-            clusters = stage1_clusters
-        elif stage_num == stage_count or len(participants) == 1:
-            clusters = [Cluster(id=0, member_ids=list(participants))]
-        else:
-            idx = stage_num - 1
-            sizes = stage_target_sizes
-            target = sizes[idx] if idx < len(sizes) else sizes[-1]
-            clusters = form_clusters(participants, topology, target)
+    clusters = stage1_clusters
+    # Supplied stage-1 clusters can leave several heads standing after the
+    # last stage; the next pass then collapses them into one cluster.
+    while not stages or len(participants) > 1:
+        idx = len(stages)
+        if clusters is None:
+            if idx + 1 >= stage_count or len(participants) == 1:
+                clusters = [Cluster(id=0, member_ids=list(participants))]
+            else:
+                sizes = stage_target_sizes
+                target = sizes[idx] if idx < len(sizes) else sizes[-1]
+                clusters = form_clusters(participants, topology, target)
         for c in clusters:
             if c.head_id is None:
                 c.head_id = head_selector(c)
         stages.append(clusters)
         participants = sorted(c.head_id for c in clusters)
-        if len(participants) == 1:
-            break
-
-    # Supplied stage-1 clusters can leave several heads standing when
-    # stage_count is 1; collapse until a single transmitter remains.
-    while len(participants) > 1:
-        cluster = Cluster(id=0, member_ids=list(participants))
-        cluster.head_id = head_selector(cluster)
-        stages.append([cluster])
-        participants = [cluster.head_id]
+        clusters = None
 
     return ClusterHierarchy(stages=stages, final_transmitter=participants[0])

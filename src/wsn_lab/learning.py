@@ -241,10 +241,9 @@ class ReplayBuffer:
         return [self._items[i] for i in rng.sample(range(n), batch)]
 
 
-def replay_step(table: QTable, buffer: ReplayBuffer, params: LearningParams,
-                rng) -> float:
+def replay_step(buffer: ReplayBuffer, params: LearningParams, rng) -> float:
     """Re-apply the Bellman backup to a uniform sample of the buffer, whose
-    records are bound to `table`'s rows; returns max |delta Q|."""
+    records are bound to their table's rows; returns max |delta Q|."""
     return _backup(buffer.sample(params.replay_batch, rng), params)
 
 

@@ -10,8 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from .strategies import RL_BEARING
-
 
 class EmptySeries(Exception):
     """Raised when a summary is requested for a run with no recorded rounds."""
@@ -58,19 +56,19 @@ class RunSummary:
     reward_at_fractions: tuple
 
 
-def _success_for(strategy_value: str, outcome) -> bool:
-    all_delivered = all(outcome.delivered.values())
-    if strategy_value in RL_BEARING:
-        return outcome.reward is not None and outcome.reward.total == 12
-    if strategy_value == "full-gt":
-        return (outcome.reward is not None
-                and outcome.reward.ch_selection == 3
-                and outcome.reward.data_forwarding == 2)
-    return all_delivered
+def measure_delay(outcome) -> float:
+    """Mean delay over delivered packets: each hop costs one time unit of
+    travel and one of processing."""
+    total = 0.0
+    count = 0
+    for i, ok in outcome.delivered.items():
+        if ok:
+            total += outcome.hop_counts[i] * 2.0
+            count += 1
+    return total / count if count else 0.0
 
 
-def record_round(world, outcome, strategy_value: str, prev_cumulative: float,
-                 mean_delay: float) -> RoundMetrics:
+def record_round(world, outcome, prev_cumulative: float) -> RoundMetrics:
     """Fold one round's outcome into the metric series.
 
     Dead nodes count at zero charge in both the mean and the variance, so a
@@ -86,8 +84,8 @@ def record_round(world, outcome, strategy_value: str, prev_cumulative: float,
         alive_count=sum(1 for nd in world.nodes if nd.alive),
         cumulative_reward=prev_cumulative + round_reward,
         round_reward=round_reward,
-        mean_delay=mean_delay,
-        success=_success_for(strategy_value, outcome),
+        mean_delay=measure_delay(outcome),
+        success=outcome.success,
         max_q_delta=outcome.max_q_delta,
     )
 
@@ -112,8 +110,10 @@ def find_convergence_round(series, tolerance: float = 0.01,
     return None
 
 
-def summarize(series, config, strategy_value: str) -> RunSummary:
-    """Collapse a round series into the end-of-run summary."""
+def summarize(series, config, strategy_value: str, *,
+              learned: bool) -> RunSummary:
+    """Collapse a round series into the end-of-run summary; only a run whose
+    agents learned reports a convergence round."""
     if not series:
         raise EmptySeries("cannot summarize an empty metric series")
     planned = config.round_count
@@ -121,8 +121,7 @@ def summarize(series, config, strategy_value: str) -> RunSummary:
     soc_at = {f: series[_sample_index(f, planned, n)].mean_soc_pct
               for f in SOC_FRACTIONS}
     last = series[-1]
-    convergence = (find_convergence_round(series)
-                   if strategy_value in RL_BEARING else None)
+    convergence = find_convergence_round(series) if learned else None
     table_rows = [series[_sample_index(f, planned, n)]
                   for f in TABLE_FRACTIONS]
     return RunSummary(

@@ -16,14 +16,15 @@ from typing import Optional
 
 import numpy as np
 
+from . import metrics
 from .clustering import (Cluster, ClusterHierarchy, NoAliveNodes,
                          build_hierarchy, form_clusters, select_head_by_energy)
 from .game import (UtilityWeights, best_response_dynamics, profile_to_clusters,
                    select_head_by_utility)
 from .learning import (ALL_ACTIONS, AgentState, Experience, LearningParams,
-                       QTable, ReplayBuffer, RlAction, compute_round_reward,
-                       decay_epsilon, observe_state, prune, q_update,
-                       replay_step, select_action)
+                       QTable, ReplayBuffer, RewardBreakdown, RlAction,
+                       compute_round_reward, decay_epsilon, observe_state,
+                       prune, q_update, replay_step, select_action)
 from .network import (EnergyModel, NetworkConfig, aggregation_cost, drain,
                       generate_network, rx_cost, tx_cost)
 
@@ -56,6 +57,7 @@ class RoundOutcome:
     hop_counts: dict                      # node id -> hops for delivered packets
     energy_spent: dict                    # node id -> actual energy decrease
     deaths: set
+    success: bool
     long_links: int = 0
     max_q_delta: float = 0.0
     epsilon: float = 0.0
@@ -118,7 +120,6 @@ class LearnerPool:
     """One Q-learner per node, or one shared table when configured."""
 
     def __init__(self, node_ids, params: LearningParams):
-        self.params = params
         shared = QTable() if params.shared_table else None
         self.agents = {
             i: _Agent(shared if shared is not None else QTable(),
@@ -204,7 +205,8 @@ def _equilibrium_clusters(world: SimWorld, weights: UtilityWeights,
             for k, (members, head) in enumerate(profile_to_clusters(result))]
 
 
-def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy):
+def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy,
+                       alive: list):
     """Charge one aggregated packet per alive node up the hierarchy.
 
     Members transmit to their head even when it sits beyond nominal range;
@@ -223,7 +225,6 @@ def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy):
     delivered = {}
     hops = {}
     long_links = 0
-    alive = world.alive_ids()
     rx_one = rx_cost(bits, model)
     agg_one = aggregation_cost(bits, model)
     for i in alive:
@@ -257,11 +258,10 @@ def _apply_drain(world: SimWorld, costs: dict):
     return spent, deaths
 
 
-def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
-           reward_total: float, states: dict, actions: dict, rng,
-           round_index: int) -> float:
+def _learn(world: SimWorld, pool: LearnerPool, params: LearningParams,
+           hierarchy: ClusterHierarchy, reward_total: float, states: dict,
+           actions: dict, rng, round_index: int) -> float:
     """Feed the shared round reward back to every surviving participant."""
-    params = pool.params
     new_roles = hierarchy.role_map()
     counts = world.alive_neighbor_counts()
     next_states = {}
@@ -277,12 +277,20 @@ def _learn(world: SimWorld, pool: LearnerPool, hierarchy: ClusterHierarchy,
         if delta > worst:
             worst = delta
         agent.buffer.add(agent.table.resolve(exp))
-        delta = replay_step(agent.table, agent.buffer, params, rng)
+        delta = replay_step(agent.buffer, params, rng)
         if delta > worst:
             worst = delta
         prune(agent.table, params, round_index)
     pool.next_states = next_states
     return worst
+
+
+def _round_success(reward: RewardBreakdown, learned: bool) -> bool:
+    """A round whose agents learn succeeds on a full score of 12; one with
+    no learners needs energy-argmax heads and complete forwarding."""
+    if learned:
+        return reward.total == 12
+    return reward.ch_selection == 3 and reward.data_forwarding == 2
 
 
 def _clustered_round(world: SimWorld, round_index: int, stage1,
@@ -318,16 +326,18 @@ def _clustered_round(world: SimWorld, round_index: int, stage1,
         stage1_clusters=clusters)
 
     snapshot = world.energy_snapshot()
-    costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy)
+    costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy,
+                                                            alive)
     reward = compute_round_reward(hierarchy, snapshot, forwarding_ok=True)
     spent, deaths = _apply_drain(world, costs)
     max_delta = 0.0
     if legal is not None:
-        max_delta = _learn(world, pool, hierarchy, float(reward.total),
+        max_delta = _learn(world, pool, params, hierarchy, float(reward.total),
                            states, actions, rng, round_index)
     return RoundOutcome(round_index=round_index, hierarchy=hierarchy,
                         reward=reward, delivered=delivered, hop_counts=hops,
                         energy_spent=spent, deaths=deaths,
+                        success=_round_success(reward, legal is not None),
                         long_links=long_links, max_q_delta=max_delta,
                         epsilon=epsilon)
 
@@ -457,19 +467,8 @@ def run_round_baseline(world: SimWorld, round_index: int) -> RoundOutcome:
     spent, deaths = _apply_drain(world, costs)
     return RoundOutcome(round_index=round_index, hierarchy=None, reward=None,
                         delivered=delivered, hop_counts=hops,
-                        energy_spent=spent, deaths=deaths)
-
-
-def measure_delay(outcome: RoundOutcome) -> float:
-    """Mean delay over delivered packets: each hop costs one time unit of
-    travel and one of processing."""
-    total = 0.0
-    count = 0
-    for i, ok in outcome.delivered.items():
-        if ok:
-            total += outcome.hop_counts[i] * 2.0
-            count += 1
-    return total / count if count else 0.0
+                        energy_spent=spent, deaths=deaths,
+                        success=all(delivered.values()))
 
 
 @dataclass
@@ -486,8 +485,6 @@ def simulate(strategy: StrategyKind, config: NetworkConfig,
              energy_model: EnergyModel, params: LearningParams,
              weights: UtilityWeights) -> RunResult:
     """Run one strategy for the configured horizon or until network death."""
-    from . import metrics as m
-
     world = make_world(config, energy_model)
     rng = random.Random(config.rng_seed + _ROUND_STREAM_OFFSET)
     pool = (LearnerPool([nd.id for nd in world.nodes], params)
@@ -508,11 +505,11 @@ def simulate(strategy: StrategyKind, config: NetworkConfig,
             outcome = run_round_rl_gt(world, pool, weights, params, t, rng)
         else:
             outcome = run_round_baseline(world, t)
-        rm = m.record_round(world, outcome, strategy.value, cumulative,
-                            measure_delay(outcome))
+        rm = metrics.record_round(world, outcome, cumulative)
         cumulative = rm.cumulative_reward
         series.append(rm)
 
-    summary = m.summarize(series, config, strategy.value)
+    summary = metrics.summarize(series, config, strategy.value,
+                                learned=pool is not None)
     return RunResult(strategy=strategy, seed=config.rng_seed, series=series,
                      summary=summary, world=world, pool=pool)

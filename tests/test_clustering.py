@@ -140,6 +140,26 @@ def test_hierarchy_respects_preset_stage_one():
     assert h.final_transmitter in (4, 9)
 
 
+def test_hierarchy_one_stage_collapses_preset_heads():
+    """With one stage, the heads of supplied clusters still contract into a
+    single cluster whose head the selector picks."""
+    nodes, topo = random_layout(8, 10)
+    stage1 = [Cluster(id=0, member_ids=[0, 1, 2, 3, 4], head_id=4),
+              Cluster(id=1, member_ids=[5, 6, 7, 8, 9], head_id=9)]
+    picked = []
+
+    def selector(cluster):
+        picked.append(list(cluster.member_ids))
+        return cluster.member_ids[0]
+
+    h = build_hierarchy(nodes, topo, selector, stage_count=1,
+                        stage_target_sizes=(5,), stage1_clusters=stage1)
+    assert picked == [[4, 9]]
+    assert len(h.stages) == 2
+    assert [c.member_ids for c in h.stages[1]] == [[4, 9]]
+    assert h.final_transmitter == h.stages[1][0].head_id == 4
+
+
 def test_hierarchy_single_node_short_circuits():
     nodes, topo = random_layout(2, 1)
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),

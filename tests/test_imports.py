@@ -1,8 +1,9 @@
 """Hygiene of the package: no module imports a name it never uses, no
-function takes a parameter it never reads, and every exported name
-resolves."""
+function takes a parameter it never reads, no modules import one another
+in a cycle, and every exported name resolves."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -57,14 +58,6 @@ def unread_parameters(source: str) -> list:
     return unread
 
 
-# Parameters kept although unread, by module.
-UNREAD_ALLOWED = {
-    # The benchmark's tracer still calls replay_step(table, buffer, params,
-    # rng); ROADMAP item 1 frees it.
-    "learning.py": ["replay_step.table"],
-}
-
-
 def test_unread_parameter_check_flags_an_unread_name():
     assert unread_parameters("def f(a, b, _c):\n"
                              "    return lambda x, y: a + x\n") \
@@ -73,8 +66,43 @@ def test_unread_parameter_check_flags_an_unread_name():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parameters_are_read(path):
-    assert unread_parameters(path.read_text()) \
-        == UNREAD_ALLOWED.get(path.name, [])
+    assert unread_parameters(path.read_text()) == []
+
+
+def relative_imports(source: str) -> set:
+    """Sibling modules a module imports relatively, at any depth in it, so
+    a function-local import counts as much as a module-level one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle in a module -> imported-modules graph, as the path that
+    returns to its first module; [] when there is none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_import_cycle_check_flags_a_two_module_cycle():
+    a = relative_imports("from .b import x\n")
+    b = relative_imports("def f():\n    from . import a\n    return a\n")
+    assert (a, b) == ({"b"}, {"a"})
+    assert sorted(import_cycle({"a": a, "b": b})) == ["a", "a", "b"]
+    assert import_cycle({"a": a, "b": set()}) == []
+
+
+def test_package_has_no_import_cycle():
+    graph = {p.stem: relative_imports(p.read_text()) for p in MODULES}
+    assert import_cycle(graph) == []
 
 
 def test_exported_names_resolve():

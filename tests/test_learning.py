@@ -127,7 +127,7 @@ def test_replay_equals_sequential_updates():
     buffer = ReplayBuffer(capacity=10)
     for e in exps:
         buffer.add(replayed.resolve(e))
-    replay_step(replayed, buffer, params, random.Random(0))
+    replay_step(buffer, params, random.Random(0))
 
     oracle = QTable()
     for e in exps:
@@ -373,7 +373,7 @@ def test_learning_matches_reference(seed, n_states, n_buffers, capacity,
                                                                   params)
             ref_bufs[k].add(e)
             new_bufs[k].add(new.resolve(e))
-            assert (replay_step(new, new_bufs[k], params, new_rng)
+            assert (replay_step(new_bufs[k], params, new_rng)
                     == reference_replay_step(ref, ref_bufs[k], params,
                                              ref_rng))
             assert prune(new, params, r) == reference_prune(ref, params, r)

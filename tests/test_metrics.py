@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from wsn_lab.metrics import (EmptySeries, RoundMetrics, _success_for,
+from wsn_lab.metrics import (EmptySeries, RoundMetrics,
                              find_convergence_round, read_rounds_csv,
                              read_summary_json, record_round, summarize,
                              write_rounds_csv, write_summary_json)
@@ -17,9 +17,10 @@ def fake_world(energies, initial=1.0):
                            config=SimpleNamespace(initial_energy=initial))
 
 
-def fake_outcome(round_index=1, reward=None, delivered=None, max_q_delta=0.0):
+def fake_outcome(round_index=1, reward=None, success=False):
     return SimpleNamespace(round_index=round_index, reward=reward,
-                           delivered=delivered or {}, max_q_delta=max_q_delta)
+                           delivered={}, hop_counts={}, success=success,
+                           max_q_delta=0.0)
 
 
 def rm(round_index, *, delta=0.0, soc=50.0, var=0.0, alive=2, cum=0.0,
@@ -32,8 +33,9 @@ def rm(round_index, *, delta=0.0, soc=50.0, var=0.0, alive=2, cum=0.0,
 
 def test_record_round_mean_and_variance_by_hand():
     world = fake_world([1.0, 0.5])
-    row = record_round(world, fake_outcome(round_index=3), "baseline", 0.0, 0.0)
+    row = record_round(world, fake_outcome(round_index=3, success=True), 0.0)
     assert row.round == 3
+    assert row.success
     assert math.isclose(row.mean_soc_pct, 75.0, rel_tol=1e-12)
     assert math.isclose(row.soc_variance, 0.0625, rel_tol=1e-12)
     assert row.alive_count == 2
@@ -41,36 +43,21 @@ def test_record_round_mean_and_variance_by_hand():
 
 def test_record_round_counts_dead_nodes_at_zero_charge():
     world = fake_world([1.0, 0.0])
-    row = record_round(world, fake_outcome(), "baseline", 0.0, 0.0)
+    row = record_round(world, fake_outcome(), 0.0)
     assert math.isclose(row.mean_soc_pct, 50.0, rel_tol=1e-12)
     assert math.isclose(row.soc_variance, 0.25, rel_tol=1e-12)
     assert row.alive_count == 1
+    assert not row.success
 
 
 def test_record_round_accumulates_reward():
     world = fake_world([1.0])
     reward = SimpleNamespace(total=9)
-    row = record_round(world, fake_outcome(reward=reward), "full-rl", 100.0,
-                       0.0)
+    row = record_round(world, fake_outcome(reward=reward), 100.0)
     assert row.round_reward == 9.0
     assert row.cumulative_reward == 109.0
-    rewardless = record_round(world, fake_outcome(), "baseline", 100.0, 0.0)
+    rewardless = record_round(world, fake_outcome(), 100.0)
     assert rewardless.cumulative_reward == 100.0
-
-
-def test_success_rules_per_strategy():
-    full = SimpleNamespace(total=12, ch_selection=3, data_forwarding=2)
-    partial = SimpleNamespace(total=11, ch_selection=3, data_forwarding=2)
-    weak_head = SimpleNamespace(total=10, ch_selection=1, data_forwarding=2)
-    for kind in ("full-rl", "gt-rl", "rl-gt"):
-        assert _success_for(kind, fake_outcome(reward=full))
-        assert not _success_for(kind, fake_outcome(reward=partial))
-        assert not _success_for(kind, fake_outcome())
-    assert _success_for("full-gt", fake_outcome(reward=partial))
-    assert not _success_for("full-gt", fake_outcome(reward=weak_head))
-    assert _success_for("baseline", fake_outcome(delivered={0: True, 1: True}))
-    assert not _success_for("baseline",
-                            fake_outcome(delivered={0: True, 1: False}))
 
 
 def test_convergence_first_quiet_window():
@@ -102,7 +89,7 @@ def config_stub(planned=10, nodes=4, seed=7):
 def test_summarize_samples_fractions_exactly():
     series = [rm(r, soc=100.0 - r, alive=20 - r, cum=3.0 * r,
                  success=(r % 2 == 0)) for r in range(1, 11)]
-    s = summarize(series, config_stub(nodes=20), "full-gt")
+    s = summarize(series, config_stub(nodes=20), "full-gt", learned=False)
     # fraction f of 10 planned rounds lands on floor(10 f), 0-based
     assert s.soc_at_fractions[0.1] == series[1].mean_soc_pct
     assert s.soc_at_fractions[0.9] == series[9].mean_soc_pct
@@ -119,22 +106,23 @@ def test_summarize_samples_fractions_exactly():
 
 def test_summarize_truncated_series_holds_last_row():
     series = [rm(r, alive=9) for r in range(1, 4)]
-    s = summarize(series, config_stub(planned=10, nodes=9), "baseline")
+    s = summarize(series, config_stub(planned=10, nodes=9), "baseline",
+                  learned=False)
     assert s.alive_at_fractions == (9,) * 10
     assert s.executed_rounds == 3
 
 
 def test_summarize_reports_convergence_for_learners():
     series = [rm(r, delta=(2.0 if r < 5 else 0.0)) for r in range(1, 30)]
-    s = summarize(series, config_stub(planned=29), "gt-rl")
+    s = summarize(series, config_stub(planned=29), "gt-rl", learned=True)
     assert s.convergence_round == 5
-    assert summarize(series, config_stub(planned=29), "full-gt") \
-        .convergence_round is None
+    assert summarize(series, config_stub(planned=29), "full-gt",
+                     learned=False).convergence_round is None
 
 
 def test_summarize_rejects_empty_series():
     with pytest.raises(EmptySeries):
-        summarize([], config_stub(), "baseline")
+        summarize([], config_stub(), "baseline", learned=False)
 
 
 def test_rounds_csv_round_trips_exactly(tmp_path):
@@ -152,7 +140,8 @@ def test_rounds_csv_round_trips_exactly(tmp_path):
 def test_summary_json_round_trips(tmp_path):
     series = [rm(r, soc=80.0 - r, var=0.01 * r, alive=5, cum=2.5 * r,
                  success=True) for r in range(1, 9)]
-    summary = summarize(series, config_stub(planned=8, nodes=5), "full-rl")
+    summary = summarize(series, config_stub(planned=8, nodes=5), "full-rl",
+                        learned=True)
     path = tmp_path / "summary.json"
     write_summary_json(path, summary)
     assert read_summary_json(path) == summary

@@ -6,15 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from wsn_lab import (EnergyModel, LearningParams, NetworkConfig, RlAction,
-                     SimWorld, StrategyKind, UtilityWeights, make_world,
-                     measure_delay, simulate, strategies)
+from wsn_lab import (EnergyModel, LearningParams, NetworkConfig,
+                     RewardBreakdown, RlAction, SimWorld, StrategyKind,
+                     UtilityWeights, make_world, measure_delay, simulate,
+                     strategies)
 from wsn_lab.clustering import (Cluster, NoAliveNodes, build_hierarchy,
                                 form_clusters, select_head_by_energy)
 from wsn_lab.game import best_response_dynamics, profile_to_clusters
 from wsn_lab.network import rx_cost, tx_cost
 from wsn_lab.strategies import (LearnerPool, RoundOutcome, _founder_partition,
-                                _observe, _rl_head_selector,
+                                _observe, _rl_head_selector, _round_success,
                                 run_round_baseline, run_round_full_gt,
                                 run_round_full_rl, run_round_gt_rl,
                                 run_round_rl_gt)
@@ -307,14 +308,30 @@ def test_measure_delay_counts_delivered_only():
     outcome = RoundOutcome(round_index=1, hierarchy=None, reward=None,
                            delivered={0: True, 1: False, 2: True},
                            hop_counts={0: 2, 2: 4}, energy_spent={},
-                           deaths=set())
+                           deaths=set(), success=False)
     # two hops and four hops at one processing unit per hop
     assert math.isclose(measure_delay(outcome), (2 * 2 + 4 * 2) / 2,
                         rel_tol=1e-12)
     empty = RoundOutcome(round_index=1, hierarchy=None, reward=None,
                          delivered={}, hop_counts={}, energy_spent={},
-                         deaths=set())
+                         deaths=set(), success=True)
     assert measure_delay(empty) == 0.0
+
+
+def test_success_rules_per_strategy():
+    """Learning rounds need a full score; full-gt needs energy-argmax heads
+    and forwarding; the relay needs every packet delivered."""
+    full = RewardBreakdown(2, 3, 2, 3, 2)
+    partial = RewardBreakdown(2, 3, 2, 1, 2)
+    weak_head = RewardBreakdown(2, 1, 2, 3, 2)
+    assert _round_success(full, learned=True)
+    assert not _round_success(partial, learned=True)
+    assert _round_success(partial, learned=False)
+    assert not _round_success(weak_head, learned=False)
+    world = hand_world([(45, 50), (35, 50), (5, 50)], comm_range=12.0)
+    assert not run_round_baseline(world, 1).success     # node 2 is cut off
+    world.nodes[2].energy = 0.0
+    assert run_round_baseline(world, 2).success
 
 
 def test_pool_table_sharing_switch():
@@ -323,6 +340,25 @@ def test_pool_table_sharing_switch():
     assert all(shared.table_for(i) is shared.table_for(0) for i in ids)
     private = LearnerPool(ids, LearningParams(shared_table=False))
     assert private.table_for(0) is not private.table_for(1)
+
+
+def test_rounds_learn_with_the_params_they_are_given():
+    """The pool's params only size its tables and buffers; every learning
+    setting of a round comes from the params the round is given."""
+    built = LearningParams()
+    given = LearningParams(epsilon_start=0.5, adaptive_learning_rate=False,
+                           learning_rate=0.3, discount_factor=0.5,
+                           replay_batch=5, prune_min_visits=2,
+                           prune_window_rounds=2)
+    tables = []
+    for pool_params in (built, given):
+        world = make_world(small_config(), EnergyModel())
+        pool = LearnerPool([nd.id for nd in world.nodes], pool_params)
+        rng = random.Random(3)
+        for t in range(1, 6):
+            run_round_full_rl(world, pool, given, t, rng)
+        tables.append(sorted(pool.table_for(0).items()))
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("strategy", list(StrategyKind))
