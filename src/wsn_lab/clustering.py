@@ -20,14 +20,15 @@ class NoAliveNodes(Exception):
     """Raised when an operation needs at least one alive node and none exist."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cluster:
-    id: int
-    member_ids: list
+    """A cluster as a value: its members, ascending, and its head once one
+    is seated. A stage's clusters can be kept and shared, never edited."""
+    member_ids: tuple
     head_id: Optional[int] = None
 
     def __post_init__(self):
-        self.member_ids = sorted(self.member_ids)
+        object.__setattr__(self, "member_ids", tuple(sorted(self.member_ids)))
 
     def __len__(self):
         return len(self.member_ids)
@@ -78,7 +79,7 @@ def form_clusters(participant_ids: list, topology: Topology,
         raise NoAliveNodes("cannot cluster an empty participant set")
     k = min(math.ceil(n / target_size), n)
     if k <= 1:
-        return [Cluster(id=0, member_ids=list(ids))]
+        return [Cluster(ids)]
 
     # Everything below works on positions 0..n-1 into the ascending ids, so
     # the first minimum or maximum numpy returns is the lowest id among ties.
@@ -153,12 +154,9 @@ def form_clusters(participant_ids: list, topology: Topology,
         labels[moved] = ci
         counts[ci] += 1
 
-    out = []
-    for ci in range(k):
-        members = [ids[i] for i in np.flatnonzero(labels == ci).tolist()]
-        if members:
-            out.append(Cluster(id=ci, member_ids=members))
-    return out
+    groups = ([ids[i] for i in np.flatnonzero(labels == ci).tolist()]
+              for ci in range(k))
+    return [Cluster(members) for members in groups if members]
 
 
 def select_head_by_energy(cluster: Cluster, nodes: list) -> int:
@@ -175,7 +173,8 @@ def build_hierarchy(nodes: list, topology: Topology,
     Each stage clusters the previous stage's heads; the last stage collapses
     everything left into a single cluster so exactly one final transmitter
     emerges. Preset head_ids on supplied stage-1 clusters are respected;
-    otherwise head_selector picks one per cluster.
+    otherwise head_selector picks one per cluster, seated on a new cluster
+    so the supplied ones stay as they were.
     """
     alive_ids = [nd.id for nd in nodes if nd.alive]
     if not alive_ids:
@@ -190,14 +189,14 @@ def build_hierarchy(nodes: list, topology: Topology,
         idx = len(stages)
         if clusters is None:
             if idx + 1 >= stage_count or len(participants) == 1:
-                clusters = [Cluster(id=0, member_ids=list(participants))]
+                clusters = [Cluster(participants)]
             else:
                 sizes = stage_target_sizes
                 target = sizes[idx] if idx < len(sizes) else sizes[-1]
                 clusters = form_clusters(participants, topology, target)
-        for c in clusters:
-            if c.head_id is None:
-                c.head_id = head_selector(c)
+        clusters = [c if c.head_id is not None
+                    else Cluster(c.member_ids, head_selector(c))
+                    for c in clusters]
         stages.append(clusters)
         participants = sorted(c.head_id for c in clusters)
         clusters = None

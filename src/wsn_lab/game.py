@@ -53,7 +53,7 @@ def head_fitness_base(nodes: list, topology: Topology, weights: UtilityWeights,
     base = {}
     for i in alive:
         if counts[i] > 0:
-            d_hat = (sums[i] / counts[i]) / nodes[i].comm_range
+            d_hat = (sums[i] / counts[i]) / topology.comm_range
         else:
             d_hat = 0.0
         e_hat = nodes[i].energy / initial_energy
@@ -83,8 +83,7 @@ def best_response_dynamics(nodes: list, topology: Topology,
     reach = {i: [j for j in topology.neighbors[i] if j in alive_set]
              for i in alive}
     load_unit = weights.load_weight / DEFAULT_NEIGHBOR_CAP
-    dist_unit = {i: weights.distance_weight / nodes[i].comm_range
-                 for i in alive}
+    du = weights.distance_weight / topology.comm_range
 
     profile = {i: None for i in alive}
     loads = {i: 0 for i in alive}
@@ -98,7 +97,6 @@ def best_response_dynamics(nodes: list, topology: Topology,
                 # reconsider once every follower has left on its own.
                 continue
             drow = topology.distance[i]
-            du = dist_unit[i]
             # Standing costs nothing up front; serving followers is paid in
             # energy and only feeds back through next round's fitness.
             best_choice = None
@@ -151,7 +149,7 @@ def select_head_by_utility(cluster, nodes: list, topology: Topology,
         if prospective > 0:
             mean_d = (sum(topology.dist(i, m) for m in members if m != i)
                       / prospective)
-            d_term = mean_d / nodes[i].comm_range
+            d_term = mean_d / topology.comm_range
         else:
             d_term = 0.0
         e_term = nodes[i].energy / initial_energy

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .network import DEFAULT_NEIGHBOR_CAP, SensorNode
+from .network import DEFAULT_NEIGHBOR_CAP, SensorNode, is_count
 
 
 class RlAction(IntEnum):
@@ -42,6 +42,16 @@ class LearningParams:
     shared_table: bool = True
 
     def __post_init__(self):
+        for name, low in (("replay_capacity", 1), ("replay_batch", 0),
+                          ("prune_min_visits", 0), ("prune_window_rounds", 1)):
+            value = getattr(self, name)
+            if not is_count(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if self.replay_batch > self.replay_capacity:
+            raise ValueError("replay_batch must be at most replay_capacity")
+        for name in ("adaptive_learning_rate", "shared_table"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in (0, 1]")
         if not (0.0 <= self.discount_factor < 1.0):
@@ -50,14 +60,6 @@ class LearningParams:
             raise ValueError("epsilon_start must be in [0, 1]")
         if self.epsilon_decay_rate < 0:
             raise ValueError("epsilon_decay_rate must be non-negative")
-        if self.replay_capacity < 1:
-            raise ValueError("replay_capacity must be >= 1")
-        if not (0 <= self.replay_batch <= self.replay_capacity):
-            raise ValueError("replay_batch must be in [0, replay_capacity]")
-        if self.prune_min_visits < 0:
-            raise ValueError("prune_min_visits must be >= 0")
-        if self.prune_window_rounds < 1:
-            raise ValueError("prune_window_rounds must be >= 1")
 
 
 class Experience(NamedTuple):
@@ -122,17 +124,14 @@ class QTable:
         return qs, vs, int(exp.action), exp.reward, self.row(exp.next_state)[0]
 
     def entry_count(self) -> int:
-        n = 0
-        for qs, vs in self._rows.values():
-            n += sum(1 for a in range(len(qs)) if qs[a] != 0.0 or vs[a] != 0)
-        return n
+        return sum(1 for _entry in self.items())
 
     def states(self) -> list:
-        """States with at least one live entry."""
-        return [state for state, (qs, vs) in self._rows.items()
-                if any(qs) or any(vs)]
+        """States with at least one live entry, in row order."""
+        return list(dict.fromkeys(state for state, *_ in self.items()))
 
     def items(self):
+        """(state, action, q, visits) of each entry with q or visits != 0."""
         for state, (qs, vs) in self._rows.items():
             for a in range(len(qs)):
                 if qs[a] != 0.0 or vs[a] != 0:

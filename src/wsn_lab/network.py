@@ -13,6 +13,11 @@ import numpy as np
 DEFAULT_NEIGHBOR_CAP = 10
 
 
+def is_count(value) -> bool:
+    """Whether a count field holds an int; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     area_side: float = 100.0
@@ -29,22 +34,25 @@ class NetworkConfig:
     sink_position: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("node_count", "packet_size_bits", "round_count",
+                     "stage_count"):
+            value = getattr(self, name)
+            if not is_count(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        if self.packet_size_bits < 1:
-            raise ValueError("packet_size_bits must be >= 1")
         if not (0.0 < self.comm_range_fraction <= 1.5):
             raise ValueError("comm_range_fraction must be in (0, 1.5]")
         if self.initial_energy <= 0:
             raise ValueError("initial_energy must be positive")
-        if self.round_count < 1:
-            raise ValueError("round_count must be >= 1")
-        if self.stage_count < 1:
-            raise ValueError("stage_count must be >= 1")
-        if any(t < 2 for t in self.stage_target_sizes):
-            raise ValueError("stage_target_sizes entries must be >= 2")
+        sizes = self.stage_target_sizes
+        if not sizes or not all(is_count(t) and t >= 2 for t in sizes):
+            raise ValueError("stage_target_sizes must be a non-empty list of "
+                             "integers >= 2")
+        sink = self.sink_position
+        if sink is not None and (len(sink) != 2 or not all(
+                isinstance(v, float) or is_count(v) for v in sink)):
+            raise ValueError("sink_position must be null or two numbers")
 
     @property
     def comm_range(self) -> float:
@@ -63,7 +71,6 @@ class SensorNode:
     x: float
     y: float
     energy: float
-    comm_range: float
 
     @property
     def alive(self) -> bool:
@@ -85,21 +92,22 @@ class EnergyModel:
 
 
 class Topology:
-    """Static distance matrix plus the range-derived adjacency structure.
+    """Static distance matrix plus the adjacency derived from the network's
+    one radio range.
 
     Positions never change after generation, so everything here is computed
     once per run. Aliveness filtering happens at the call sites.
     """
 
-    def __init__(self, nodes: list):
+    def __init__(self, nodes: list, comm_range: float):
         n = len(nodes)
         xs = np.array([nd.x for nd in nodes])
         ys = np.array([nd.y for nd in nodes])
         dx = xs[:, None] - xs[None, :]
         dy = ys[:, None] - ys[None, :]
         self.distance = np.sqrt(dx * dx + dy * dy)
-        rng_limit = np.array([nd.comm_range for nd in nodes])
-        within = self.distance <= rng_limit[:, None]
+        self.comm_range = comm_range
+        within = self.distance <= comm_range
         np.fill_diagonal(within, False)
         self.adjacency_matrix = within
         self.neighbors = [
@@ -117,15 +125,12 @@ def generate_network(config: NetworkConfig):
     The same rng_seed always reproduces the identical layout.
     """
     rng = random.Random(config.rng_seed)
-    rng_limit = config.comm_range
     nodes = []
     for i in range(config.node_count):
         x = rng.uniform(0.0, config.area_side)
         y = rng.uniform(0.0, config.area_side)
-        nodes.append(SensorNode(id=i, x=x, y=y,
-                                energy=config.initial_energy,
-                                comm_range=rng_limit))
-    return nodes, Topology(nodes)
+        nodes.append(SensorNode(id=i, x=x, y=y, energy=config.initial_energy))
+    return nodes, Topology(nodes, config.comm_range)
 
 
 def tx_cost(bits: int, distance: float, model: EnergyModel) -> float:

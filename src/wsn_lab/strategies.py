@@ -70,13 +70,13 @@ class SimWorld:
         self.config = config
         self.energy_model = energy_model
         self.nodes, self.topology = generate_network(config)
-        self.sink = config.sink
+        sink = config.sink
         xs = np.array([nd.x for nd in self.nodes])
         ys = np.array([nd.y for nd in self.nodes])
-        self.dist_to_sink = np.hypot(xs - self.sink[0], ys - self.sink[1])
-        # The last alive set partitioned at stage 1 and its (id, members).
+        self.dist_to_sink = np.hypot(xs - sink[0], ys - sink[1])
+        # The last alive set partitioned at stage 1 and its clusters.
         self._stage1_alive = None
-        self._stage1_members = None
+        self._stage1 = None
 
     def alive_ids(self) -> list:
         return [nd.id for nd in self.nodes if nd.alive]
@@ -95,17 +95,14 @@ class SimWorld:
         """The geometric stage-1 clusters of the alive ids, headless.
 
         Positions never move, so the partition changes only with the alive
-        set; the last one is kept, and the clusters are built afresh each
-        call because head selection writes head_id into them.
+        set; the last one is kept and handed out as is.
         """
         key = tuple(alive)
         if key != self._stage1_alive:
-            clusters = form_clusters(alive, self.topology,
-                                     self.config.stage_target_sizes[0])
+            self._stage1 = form_clusters(alive, self.topology,
+                                         self.config.stage_target_sizes[0])
             self._stage1_alive = key
-            self._stage1_members = [(c.id, c.member_ids) for c in clusters]
-        return [Cluster(id=k, member_ids=members)
-                for k, members in self._stage1_members]
+        return self._stage1
 
 
 class _Agent:
@@ -200,9 +197,8 @@ def _equilibrium_clusters(world: SimWorld, weights: UtilityWeights,
     result = best_response_dynamics(
         world.nodes, world.topology, weights,
         initial_energy=world.config.initial_energy)
-    return [Cluster(id=k, member_ids=members,
-                    head_id=head if keep_heads else None)
-            for k, (members, head) in enumerate(profile_to_clusters(result))]
+    return [Cluster(members, head if keep_heads else None)
+            for members, head in profile_to_clusters(result)]
 
 
 def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy,
@@ -233,7 +229,7 @@ def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy,
             d = float(world.dist_to_sink[i])
         else:
             d = float(dist[i, parent])
-            if d > world.nodes[i].comm_range:
+            if d > world.topology.comm_range:
                 long_links += 1
         costs[i] = costs.get(i, 0.0) + tx_cost(bits, d, model)
         if parent is not None:
@@ -396,12 +392,8 @@ def _founder_partition(world: SimWorld, alive: list, actions: dict) -> list:
             members[founders[fi]].append(i)
         else:
             singles.append(i)
-    clusters = []
-    for f in founders:
-        clusters.append(Cluster(id=len(clusters), member_ids=members[f]))
-    for s in singles:
-        clusters.append(Cluster(id=len(clusters), member_ids=[s]))
-    return clusters
+    return ([Cluster(members[f]) for f in founders]
+            + [Cluster((s,)) for s in singles])
 
 
 def run_round_rl_gt(world: SimWorld, pool: LearnerPool,
@@ -428,7 +420,7 @@ def run_round_baseline(world: SimWorld, round_index: int) -> RoundOutcome:
     parent = {}
     frontier = []
     for i in alive:
-        if world.dist_to_sink[i] <= world.nodes[i].comm_range:
+        if world.dist_to_sink[i] <= world.topology.comm_range:
             depth[i] = 1
             parent[i] = None
             frontier.append(i)

@@ -8,8 +8,7 @@ def make_nodes(positions, energies=None, comm_range=50.0):
     if energies is None:
         energies = [1.0] * len(positions)
     nodes = [
-        SensorNode(id=i, x=float(x), y=float(y), energy=float(e),
-                   comm_range=comm_range)
+        SensorNode(id=i, x=float(x), y=float(y), energy=float(e))
         for i, ((x, y), e) in enumerate(zip(positions, energies))
     ]
-    return nodes, Topology(nodes)
+    return nodes, Topology(nodes, comm_range)

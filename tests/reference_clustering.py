@@ -1,5 +1,6 @@
 """A frozen copy of the pure-Python `form_clusters` that the numpy version
 replaced, kept as an oracle: the two must return identical partitions.
+It returns each cluster as a plain ascending list of member ids.
 
 Do not edit this copy to follow later changes to `form_clusters`; it is the
 behaviour the golden digests were computed with.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from wsn_lab.clustering import Cluster, NoAliveNodes
+from wsn_lab.clustering import NoAliveNodes
 from wsn_lab.network import Topology
 
 
@@ -32,7 +33,7 @@ def reference_form_clusters(participant_ids: list, topology: Topology,
         raise NoAliveNodes("cannot cluster an empty participant set")
     k = min(math.ceil(n / target_size), n)
     if k <= 1:
-        return [Cluster(id=0, member_ids=list(ids))]
+        return [list(ids)]
 
     dist = topology.distance
     centers = [ids[0]]
@@ -100,9 +101,7 @@ def reference_form_clusters(participant_ids: list, topology: Topology,
         assignment[moved] = ci
         counts[ci] += 1
 
-    clusters = [Cluster(id=ci, member_ids=[]) for ci in range(k)]
+    clusters = [[] for _ in range(k)]
     for node in ids:
-        clusters[assignment[node]].member_ids.append(node)
-    out = [Cluster(id=i, member_ids=c.member_ids)
-           for i, c in enumerate(clusters) if c.member_ids]
-    return out
+        clusters[assignment[node]].append(node)
+    return [members for members in clusters if members]

@@ -21,7 +21,7 @@ def mean_neighbor_distance(node_id: int, nodes: list, topology: Topology) -> flo
             count += 1
     if count == 0:
         return 0.0
-    return (total / count) / node.comm_range
+    return (total / count) / topology.comm_range
 
 
 def utility(node_id: int, nodes: list, topology: Topology,
@@ -45,7 +45,7 @@ def join_utility(follower_id: int, head_id: int, nodes: list,
     own link distance and by the head's load counting this follower."""
     e_term = nodes[head_id].energy / initial_energy
     d_term = (topology.dist(follower_id, head_id)
-              / nodes[follower_id].comm_range)
+              / topology.comm_range)
     n_term = head_load / neighbor_cap
     return (weights.energy_weight * e_term
             - weights.distance_weight * d_term

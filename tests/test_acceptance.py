@@ -158,7 +158,7 @@ def test_utility_hand_value_and_rescaling_invariance():
     for seed in range(25):
         nds, tp = random_small_instance(seed, max_nodes=6)
         base = best_response_dynamics(nds, tp, w, initial_energy=1.0)
-        picks = [select_head_by_utility(Cluster(0, [n.id for n in nds]),
+        picks = [select_head_by_utility(Cluster([n.id for n in nds]),
                                         nds, tp, w, initial_energy=1.0)]
         same = True
         for c in (0.25, 3.7):
@@ -167,7 +167,7 @@ def test_utility_hand_value_and_rescaling_invariance():
                                     w.load_weight * c)
             res = best_response_dynamics(nds, tp, scaled, initial_energy=1.0)
             same = same and res.profile == base.profile
-            pick = select_head_by_utility(Cluster(0, [n.id for n in nds]),
+            pick = select_head_by_utility(Cluster([n.id for n in nds]),
                                           nds, tp, scaled, initial_energy=1.0)
             same = same and pick == picks[0]
         stable += same
@@ -272,7 +272,7 @@ def test_equilibrium_tree_matches_energy_argmax_when_only_energy_counts():
         twin = make_world(cfg, EnergyModel())
         result = best_response_dynamics(twin.nodes, twin.topology, w,
                                         initial_energy=cfg.initial_energy)
-        stage1 = [Cluster(id=k, member_ids=members)
+        stage1 = [Cluster(members)
                   for k, (members, _h)
                   in enumerate(profile_to_clusters(result))]
         rebuilt = build_hierarchy(
@@ -294,7 +294,7 @@ def test_equilibrium_tree_matches_energy_argmax_when_only_energy_counts():
 def test_reward_totals_and_single_violation_deltas():
     def hierarchy(stages, final):
         return ClusterHierarchy(
-            stages=[[Cluster(id=k, member_ids=m, head_id=h)
+            stages=[[Cluster(m, h)
                      for k, (m, h) in enumerate(stage)] for stage in stages],
             final_transmitter=final)
 

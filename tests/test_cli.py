@@ -84,6 +84,14 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "config error: network.bogus" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_config_every_clustered_run_fails_on(tmp_path,
+                                                               capsys):
+    path = write_config(tmp_path, dict(
+        TINY, network=dict(TINY["network"], stage_target_sizes=[])))
+    assert main(["validate", "--config", str(path), "--quiet"]) == 2
+    assert "stage_target_sizes" in capsys.readouterr().err
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, dict(TINY, output_dir=str(out)))

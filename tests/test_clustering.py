@@ -68,7 +68,7 @@ def test_single_cluster_when_target_covers_everyone():
     nodes, topo = random_layout(3, 7)
     clusters = form_clusters(list(range(7)), topo, target_size=9)
     assert len(clusters) == 1
-    assert clusters[0].member_ids == list(range(7))
+    assert clusters[0].member_ids == tuple(range(7))
 
 
 def test_form_clusters_deterministic_without_rng():
@@ -107,7 +107,7 @@ def test_partition_properties(seed, n, target):
 
 def test_select_head_by_energy_prefers_charge_then_low_id():
     nodes, _ = make_nodes([(0, 0), (1, 0), (2, 0)], [0.3, 0.9, 0.9])
-    cluster = Cluster(id=0, member_ids=[0, 1, 2])
+    cluster = Cluster([0, 1, 2])
     assert select_head_by_energy(cluster, nodes) == 1
     nodes[2].energy = 1.5
     assert select_head_by_energy(cluster, nodes) == 2
@@ -130,8 +130,7 @@ def test_hierarchy_contracts_to_single_transmitter():
 
 def test_hierarchy_respects_preset_stage_one():
     nodes, topo = random_layout(8, 10)
-    stage1 = [Cluster(id=0, member_ids=[0, 1, 2, 3, 4], head_id=4),
-              Cluster(id=1, member_ids=[5, 6, 7, 8, 9], head_id=9)]
+    stage1 = [Cluster([0, 1, 2, 3, 4], 4), Cluster([5, 6, 7, 8, 9], 9)]
     h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=3, stage_target_sizes=(5, 4),
                         stage1_clusters=stage1)
@@ -140,12 +139,23 @@ def test_hierarchy_respects_preset_stage_one():
     assert h.final_transmitter in (4, 9)
 
 
+def test_hierarchy_leaves_supplied_clusters_headless():
+    nodes, topo = random_layout(8, 10)
+    stage1 = [Cluster([0, 1, 2, 3, 4]), Cluster([5, 6, 7, 8, 9])]
+    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
+                        stage_count=3, stage_target_sizes=(5, 4),
+                        stage1_clusters=stage1)
+    assert [c.head_id for c in stage1] == [None, None]
+    assert [c.member_ids for c in h.stages[0]] == [c.member_ids
+                                                  for c in stage1]
+    assert all(c.head_id is not None for c in h.stages[0])
+
+
 def test_hierarchy_one_stage_collapses_preset_heads():
     """With one stage, the heads of supplied clusters still contract into a
     single cluster whose head the selector picks."""
     nodes, topo = random_layout(8, 10)
-    stage1 = [Cluster(id=0, member_ids=[0, 1, 2, 3, 4], head_id=4),
-              Cluster(id=1, member_ids=[5, 6, 7, 8, 9], head_id=9)]
+    stage1 = [Cluster([0, 1, 2, 3, 4], 4), Cluster([5, 6, 7, 8, 9], 9)]
     picked = []
 
     def selector(cluster):
@@ -156,7 +166,7 @@ def test_hierarchy_one_stage_collapses_preset_heads():
                         stage_target_sizes=(5,), stage1_clusters=stage1)
     assert picked == [[4, 9]]
     assert len(h.stages) == 2
-    assert [c.member_ids for c in h.stages[1]] == [[4, 9]]
+    assert [c.member_ids for c in h.stages[1]] == [(4, 9)]
     assert h.final_transmitter == h.stages[1][0].head_id == 4
 
 
@@ -237,7 +247,6 @@ def test_form_clusters_matches_reference(kind, seed, n, target, keep):
     rng.shuffle(ids)
     got = form_clusters(ids, topo, target)
     want = reference_form_clusters(ids, topo, target)
-    assert [(c.id, c.member_ids) for c in got] == \
-        [(c.id, c.member_ids) for c in want]
+    assert [list(c.member_ids) for c in got] == want
     assert all(type(m) is int for c in got for m in c.member_ids)
 

@@ -93,7 +93,7 @@ def test_positive_rescaling_preserves_choices(scale):
         a = best_response_dynamics(nodes, topo, w, initial_energy=1.0)
         b = best_response_dynamics(nodes, topo, scaled, initial_energy=1.0)
         assert a.profile == b.profile
-        cluster = Cluster(id=0, member_ids=[nd.id for nd in nodes])
+        cluster = Cluster([nd.id for nd in nodes])
         assert (select_head_by_utility(cluster, nodes, topo, w,
                                        initial_energy=1.0)
                 == select_head_by_utility(cluster, nodes, topo, scaled,
@@ -125,7 +125,7 @@ def _deviation_values(i, profile, nodes, topo, weights, base):
             loads[tgt] = loads.get(tgt, 0) + 1
     e_hat = {j: weights.energy_weight * nodes[j].energy for j in profile}
     load_unit = weights.load_weight / DEFAULT_NEIGHBOR_CAP
-    du = weights.distance_weight / nodes[i].comm_range
+    du = weights.distance_weight / topo.comm_range
     options = {None: (base[i], -i)}
     for c in topo.neighbors[i]:
         if c not in profile or profile[c] is not None:
@@ -254,7 +254,7 @@ def test_zero_distance_and_load_weights_reduce_to_energy_chase():
                 assert nodes[tgt].energy >= nodes[i].energy
                 assert nodes[tgt].energy == max(nodes[j].energy
                                                 for j in standing)
-        cluster = Cluster(id=0, member_ids=[nd.id for nd in nodes])
+        cluster = Cluster([nd.id for nd in nodes])
         assert (select_head_by_utility(cluster, nodes, topo, w,
                                        initial_energy=1.0)
                 == select_head_by_energy(cluster, nodes))
@@ -263,7 +263,7 @@ def test_zero_distance_and_load_weights_reduce_to_energy_chase():
 def test_select_head_by_utility_uses_serving_distance():
     # equal energies: the central member serves the shortest mean link
     nodes, topo = make_nodes([(0, 0), (10, 0), (20, 0)], comm_range=40.0)
-    cluster = Cluster(id=0, member_ids=[0, 1, 2])
+    cluster = Cluster([0, 1, 2])
     head = select_head_by_utility(cluster, nodes, topo, UtilityWeights(),
                                   initial_energy=1.0)
     assert head == 1

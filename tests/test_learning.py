@@ -162,10 +162,8 @@ def test_replay_sample_size_capped_by_buffer():
 
 
 def _hierarchy(stage1, stage2, final):
-    stages = [[Cluster(id=i, member_ids=m, head_id=h)
-               for i, (m, h) in enumerate(stage1)],
-              [Cluster(id=i, member_ids=m, head_id=h)
-               for i, (m, h) in enumerate(stage2)]]
+    stages = [[Cluster(m, h) for m, h in stage1],
+              [Cluster(m, h) for m, h in stage2]]
     return ClusterHierarchy(stages=stages, final_transmitter=final)
 
 
@@ -269,6 +267,12 @@ def test_learning_params_validation():
         LearningParams(replay_capacity=0)
     with pytest.raises(ValueError):
         LearningParams(replay_capacity=50, replay_batch=51)
+    with pytest.raises(ValueError):
+        LearningParams(shared_table="no")
+    with pytest.raises(ValueError):
+        LearningParams(adaptive_learning_rate=1)
+    with pytest.raises(ValueError):
+        LearningParams(replay_batch=2.5)
 
 
 def test_benchmark_bound_learning_interface():

@@ -74,14 +74,14 @@ def test_adjacency_symmetric_and_irreflexive(seed):
 
 
 def test_distance_matrix_matches_geometry():
-    nodes = [SensorNode(0, 0.0, 0.0, 1.0, 10.0),
-             SensorNode(1, 3.0, 4.0, 1.0, 10.0)]
-    topo = Topology(nodes)
+    nodes = [SensorNode(0, 0.0, 0.0, 1.0),
+             SensorNode(1, 3.0, 4.0, 1.0)]
+    topo = Topology(nodes, 10.0)
     assert math.isclose(topo.dist(0, 1), 5.0, rel_tol=1e-12)
 
 
 def test_drain_clamps_at_zero_and_kills():
-    nd = SensorNode(0, 0.0, 0.0, 0.5, 10.0)
+    nd = SensorNode(0, 0.0, 0.0, 0.5)
     drain(nd, 0.2)
     assert math.isclose(nd.energy, 0.3, rel_tol=1e-12)
     assert nd.alive
@@ -91,7 +91,7 @@ def test_drain_clamps_at_zero_and_kills():
 
 
 def test_drain_rejects_negative():
-    nd = SensorNode(0, 0.0, 0.0, 0.5, 10.0)
+    nd = SensorNode(0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         drain(nd, -0.1)
 
@@ -111,6 +111,13 @@ def test_comm_range_and_sink_defaults():
     {"comm_range_fraction": 0.0},
     {"area_side": -5.0},
     {"stage_target_sizes": (5, 1)},
+    {"stage_target_sizes": ()},
+    {"stage_target_sizes": (4.5,)},
+    {"sink_position": (10.0,)},
+    {"sink_position": (10.0, True)},
+    {"node_count": 10.5},
+    {"stage_count": 2.5},
+    {"round_count": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Round execution: accounting, elections, baselines, and determinism."""
 
+import dataclasses
 import math
 import random
 
@@ -98,8 +99,8 @@ def test_full_gt_equals_energy_argmax_rebuild_when_only_energy_counts():
         world_b = make_world(cfg, EnergyModel())
         result = best_response_dynamics(world_b.nodes, world_b.topology, w,
                                         initial_energy=cfg.initial_energy)
-        stage1 = [Cluster(id=k, member_ids=members)
-                  for k, (members, _h) in enumerate(profile_to_clusters(result))]
+        stage1 = [Cluster(members)
+                  for members, _h in profile_to_clusters(result)]
         rebuilt = build_hierarchy(
             world_b.nodes, world_b.topology,
             lambda c: select_head_by_energy(c, world_b.nodes),
@@ -116,7 +117,7 @@ def test_full_gt_equals_energy_argmax_rebuild_when_only_energy_counts():
 
 def test_elected_head_is_best_charged_volunteer():
     nodes, _ = make_nodes([(0, 0), (1, 0), (2, 0)], [0.9, 0.5, 0.7])
-    cluster = Cluster(id=0, member_ids=[0, 1, 2])
+    cluster = Cluster([0, 1, 2])
     pick = _rl_head_selector({1: RlAction.ELECT_SELF,
                               2: RlAction.ELECT_SELF}, nodes)
     assert pick(cluster) == 2     # best energy among the two volunteers
@@ -125,7 +126,7 @@ def test_elected_head_is_best_charged_volunteer():
     tie_nodes, _ = make_nodes([(0, 0), (1, 0)], [0.8, 0.8])
     pick = _rl_head_selector({0: RlAction.ELECT_SELF,
                               1: RlAction.ELECT_SELF}, tie_nodes)
-    assert pick(Cluster(id=0, member_ids=[0, 1])) == 0
+    assert pick(Cluster([0, 1])) == 0
 
 
 def test_founder_partition_shapes():
@@ -153,8 +154,7 @@ def test_founder_partition_ties_and_order():
                                   {1: RlAction.CLUSTERING,
                                    3: RlAction.CLUSTERING,
                                    4: RlAction.ELECT_SELF})
-    assert [(c.id, c.member_ids) for c in clusters] == \
-        [(0, [0, 1]), (1, [2, 3]), (2, [4]), (3, [5])]
+    assert [c.member_ids for c in clusters] == [(0, 1), (2, 3), (4,), (5,)]
 
 
 def counted(monkeypatch, name):
@@ -170,24 +170,24 @@ def counted(monkeypatch, name):
 
 
 def geometric(world, alive):
-    return [(c.id, c.member_ids) for c in form_clusters(
+    return [c.member_ids for c in form_clusters(
         alive, world.topology, world.config.stage_target_sizes[0])]
 
 
-def test_stage1_partition_hit_returns_fresh_headless_clusters(monkeypatch):
+def test_stage1_partition_hit_returns_the_kept_clusters(monkeypatch):
     calls = counted(monkeypatch, "form_clusters")
     world = make_world(small_config(node_count=30), EnergyModel())
     alive = world.alive_ids()
-    want = [(k, m, None) for k, m in geometric(world, alive)]
     first = world.stage1_partition(alive)
-    assert [(c.id, c.member_ids, c.head_id) for c in first] == want
-    # what head selection (or anyone) writes into one result stays there
-    for c in first:
-        c.head_id = c.member_ids[0]
-    first[0].member_ids.append(99)
-    second = world.stage1_partition(alive)
+    assert [c.member_ids for c in first] == geometric(world, alive)
+    assert all(c.head_id is None for c in first)
+    assert world.stage1_partition(alive) is first
     assert len(calls) == 1
-    assert [(c.id, c.member_ids, c.head_id) for c in second] == want
+    # the kept clusters are values: no caller can seat a head or add a member
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].head_id = first[0].member_ids[0]
+    with pytest.raises(AttributeError):
+        first[0].member_ids.append(99)
 
 
 def test_stage1_partition_recomputes_when_a_node_dies(monkeypatch):
@@ -199,7 +199,7 @@ def test_stage1_partition_recomputes_when_a_node_dies(monkeypatch):
     alive = world.alive_ids()
     after = world.stage1_partition(alive)
     assert len(calls) == 2
-    assert [(c.id, c.member_ids) for c in after] == geometric(world, alive)
+    assert [c.member_ids for c in after] == geometric(world, alive)
     assert dead not in {m for c in after for m in c.member_ids}
 
 
@@ -219,7 +219,8 @@ def test_full_rl_single_stage_is_one_cluster(monkeypatch):
     outcome = run_round_full_rl(world, pool, QUIET, 1, random.Random(1))
     assert calls == []
     assert [[c.member_ids for c in stage]
-            for stage in outcome.hierarchy.stages] == [[world.alive_ids()]]
+            for stage in outcome.hierarchy.stages] == \
+        [[tuple(world.alive_ids())]]
 
 
 LEARNING_ROUNDS = {
