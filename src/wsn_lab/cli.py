@@ -25,7 +25,7 @@ from pathlib import Path
 from . import metrics
 from .game import UtilityWeights
 from .learning import LearningParams
-from .network import EnergyModel, NetworkConfig
+from .network import EnergyModel, NetworkConfig, is_count
 from .strategies import StrategyKind, simulate
 
 log = logging.getLogger("wsn_lab")
@@ -104,8 +104,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     if "seeds" in data:
         raw = data["seeds"]
         if (not isinstance(raw, list) or not raw
-                or not all(isinstance(s, int) and not isinstance(s, bool)
-                           for s in raw)):
+                or not all(is_count(s) for s in raw)):
             raise ConfigError("seeds: expected a non-empty list of integers")
         spec.seeds = list(raw)
     if "output_dir" in data:
@@ -126,8 +125,8 @@ def load_scenario(path) -> ScenarioSpec:
     return parse_scenario(data)
 
 
-def _run_paths(out_dir: Path, strategy: StrategyKind, seed: int):
-    stem = f"{strategy.value}_{seed}"
+def _run_paths(out_dir: Path, strategy: str, seed: int):
+    stem = f"{strategy}_{seed}"
     return out_dir / f"{stem}_rounds.csv", out_dir / f"{stem}_summary.json"
 
 
@@ -136,7 +135,7 @@ def _execute_run(args):
     summary and the round series it wrote."""
     strategy, network, energy, learning, weights, out_dir = args
     result = simulate(strategy, network, energy, learning, weights)
-    rounds_path, summary_path = _run_paths(Path(out_dir), strategy,
+    rounds_path, summary_path = _run_paths(Path(out_dir), strategy.value,
                                            network.rng_seed)
     try:
         metrics.write_rounds_csv(rounds_path, result.series)
@@ -204,28 +203,33 @@ def _group_by_strategy(summaries):
     for s in summaries:
         groups.setdefault(s.strategy, []).append(s)
     ordered = [k.value for k in StrategyKind if k.value in groups]
-    for value in groups:
-        if value not in ordered:
-            ordered.append(value)
+    ordered += [value for value in groups if value not in ordered]
     return ordered, groups
 
 
-def _seed_means(runs, fi: int) -> tuple:
-    """Seed means of (alive count, SoC variance, cumulative reward) at the
-    fi-th table fraction."""
-    n = len(runs)
-    return (sum(r.alive_at_fractions[fi] for r in runs) / n,
-            sum(r.variance_at_fractions[fi] for r in runs) / n,
-            sum(r.reward_at_fractions[fi] for r in runs) / n)
+def _comparison_rows(summaries):
+    """Strategy values in table order, and per table fraction a row of the
+    time percent, then each strategy's seed means of alive count, SoC
+    variance and cumulative reward."""
+    if not summaries:
+        raise metrics.EmptySeries("no summaries to compare")
+    ordered, groups = _group_by_strategy(summaries)
+    rows = []
+    for fi, frac in enumerate(summaries[0].table_fractions):
+        row = [int(frac * 100)]
+        for runs in (groups[value] for value in ordered):
+            n = len(runs)
+            row += [sum(r.alive_at_fractions[fi] for r in runs) / n,
+                    sum(r.variance_at_fractions[fi] for r in runs) / n,
+                    sum(r.reward_at_fractions[fi] for r in runs) / n]
+        rows.append(row)
+    return ordered, rows
 
 
 def compare_table(summaries) -> str:
     """Fixed-width table of alive count, SoC variance, and cumulative reward
     per strategy at each sampled time fraction, averaged over seeds."""
-    if not summaries:
-        raise metrics.EmptySeries("no summaries to compare")
-    ordered, groups = _group_by_strategy(summaries)
-    fractions = summaries[0].table_fractions
+    ordered, rows = _comparison_rows(summaries)
     header = "time% |"
     rule = "------+"
     for value in ordered:
@@ -234,29 +238,24 @@ def compare_table(summaries) -> str:
     sub = "      |" + "".join(f"{'alive':>10}{'var':>8}{'reward':>9} |"
                               for _ in ordered)
     lines = [header, sub, rule]
-    for fi, frac in enumerate(fractions):
-        line = f"{int(frac * 100):>5} |"
-        for value in ordered:
-            alive, var, rew = _seed_means(groups[value], fi)
+    for row in rows:
+        line = f"{row[0]:>5} |"
+        for k in range(1, len(row), 3):
+            alive, var, rew = row[k:k + 3]
             line += f"{alive:>10.1f}{var:>8.4f}{rew:>9.1f} |"
         lines.append(line)
     return "\n".join(lines)
 
 
 def write_comparison_csv(path, summaries) -> None:
-    ordered, groups = _group_by_strategy(summaries)
-    fractions = summaries[0].table_fractions
+    ordered, rows = _comparison_rows(summaries)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["time_pct"]
         for value in ordered:
             header += [f"{value}_alive", f"{value}_variance", f"{value}_reward"]
         writer.writerow(header)
-        for fi, frac in enumerate(fractions):
-            row = [int(frac * 100)]
-            for value in ordered:
-                row.extend(_seed_means(groups[value], fi))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # Figure name -> the RoundMetrics field it plots.
@@ -329,7 +328,7 @@ def load_output_dir(out_dir: Path):
     summaries = [_read_output(metrics.read_summary_json, p) for p in paths]
     series_map = {}
     for s in summaries:
-        path = out_dir / f"{s.strategy}_{s.seed}_rounds.csv"
+        path, _summary = _run_paths(out_dir, s.strategy, s.seed)
         series = _read_output(metrics.read_rounds_csv, path)
         if not series or len(series) != s.executed_rounds:
             raise IoError(f"cannot read {path}: expected {s.executed_rounds} "

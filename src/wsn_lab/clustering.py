@@ -38,7 +38,10 @@ class Cluster:
 class ClusterHierarchy:
     """Stages of clusters; stage k+1 is built from the heads of stage k."""
     stages: list                      # list[list[Cluster]]
-    final_transmitter: Optional[int] = None
+
+    @property
+    def final_transmitter(self) -> int:
+        return self.stages[-1][0].head_id
 
     def role_map(self) -> dict:
         """node id -> deepest stage led (1-based); absent means plain member."""
@@ -164,41 +167,33 @@ def select_head_by_energy(cluster: Cluster, nodes: list) -> int:
     return max(cluster.member_ids, key=lambda i: (nodes[i].energy, -i))
 
 
-def build_hierarchy(nodes: list, topology: Topology,
-                    head_selector: Callable[[Cluster], int],
-                    *, stage_count: int, stage_target_sizes,
-                    stage1_clusters: Optional[list] = None) -> ClusterHierarchy:
-    """Contract alive nodes through up to stage_count clustering stages.
+def build_hierarchy(stage1: list, topology: Topology,
+                    head_selector: Callable[[Cluster], int], *,
+                    stage_count: int, stage_target_sizes) -> ClusterHierarchy:
+    """Contract the stage-1 clusters through up to stage_count stages.
 
-    Each stage clusters the previous stage's heads; the last stage collapses
-    everything left into a single cluster so exactly one final transmitter
-    emerges. Preset head_ids on supplied stage-1 clusters are respected;
-    otherwise head_selector picks one per cluster, seated on a new cluster
-    so the supplied ones stay as they were.
+    Each later stage clusters the previous stage's heads, and the last one
+    puts all heads left into one cluster, so exactly one final transmitter
+    emerges; a stage that leaves one head ends the hierarchy early. Preset
+    head_ids are respected; otherwise head_selector picks one per cluster,
+    seated on a new cluster so the supplied ones stay as they were.
     """
-    alive_ids = [nd.id for nd in nodes if nd.alive]
-    if not alive_ids:
-        raise NoAliveNodes("no alive nodes to build a hierarchy from")
+    if not stage1:
+        raise NoAliveNodes("no stage-1 clusters to build a hierarchy from")
 
     stages = []
-    participants = alive_ids
-    clusters = stage1_clusters
-    # Supplied stage-1 clusters can leave several heads standing after the
-    # last stage; the next pass then collapses them into one cluster.
-    while not stages or len(participants) > 1:
-        idx = len(stages)
-        if clusters is None:
-            if idx + 1 >= stage_count or len(participants) == 1:
-                clusters = [Cluster(participants)]
-            else:
-                sizes = stage_target_sizes
-                target = sizes[idx] if idx < len(sizes) else sizes[-1]
-                clusters = form_clusters(participants, topology, target)
-        clusters = [c if c.head_id is not None
-                    else Cluster(c.member_ids, head_selector(c))
-                    for c in clusters]
-        stages.append(clusters)
-        participants = sorted(c.head_id for c in clusters)
-        clusters = None
-
-    return ClusterHierarchy(stages=stages, final_transmitter=participants[0])
+    clusters = stage1
+    while True:
+        stages.append([c if c.head_id is not None
+                       else Cluster(c.member_ids, head_selector(c))
+                       for c in clusters])
+        heads = sorted(c.head_id for c in stages[-1])
+        if len(heads) == 1:
+            return ClusterHierarchy(stages)
+        k = len(stages)     # 0-based index of the stage built next
+        if k + 1 >= stage_count:
+            clusters = [Cluster(heads)]
+        else:
+            sizes = stage_target_sizes
+            clusters = form_clusters(heads, topology,
+                                     sizes[k] if k < len(sizes) else sizes[-1])

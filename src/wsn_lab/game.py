@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DEFAULT_NEIGHBOR_CAP, Topology
+from .network import DEFAULT_NEIGHBOR_CAP, Topology, check_reals
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class UtilityWeights:
     load_weight: float = 0.1
 
     def __post_init__(self):
+        check_reals(self)
         if self.energy_weight < 0 or self.distance_weight < 0 or self.load_weight < 0:
             raise ValueError("utility weights must be non-negative")
         if self.energy_weight == 0 and self.distance_weight == 0 and self.load_weight == 0:
@@ -52,10 +53,8 @@ def head_fitness_base(nodes: list, topology: Topology, weights: UtilityWeights,
     sums = (topology.distance * in_range_alive).sum(axis=1)
     base = {}
     for i in alive:
-        if counts[i] > 0:
-            d_hat = (sums[i] / counts[i]) / topology.comm_range
-        else:
-            d_hat = 0.0
+        d_hat = (sums[i] / counts[i] / topology.comm_range if counts[i] > 0
+                 else 0.0)
         e_hat = nodes[i].energy / initial_energy
         base[i] = weights.energy_weight * e_hat - weights.distance_weight * d_hat
     return base

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .network import DEFAULT_NEIGHBOR_CAP, SensorNode, is_count
+from .network import DEFAULT_NEIGHBOR_CAP, SensorNode, check_reals, is_count
 
 
 class RlAction(IntEnum):
@@ -52,6 +52,7 @@ class LearningParams:
         for name in ("adaptive_learning_rate", "shared_table"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false")
+        check_reals(self)
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in (0, 1]")
         if not (0.0 <= self.discount_factor < 1.0):

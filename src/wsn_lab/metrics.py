@@ -91,8 +91,7 @@ def record_round(world, outcome, prev_cumulative: float) -> RoundMetrics:
 
 
 def _sample_index(fraction: float, planned_rounds: int, length: int) -> int:
-    idx = math.floor(fraction * planned_rounds)
-    return min(idx, length - 1)
+    return min(math.floor(fraction * planned_rounds), length - 1)
 
 
 def find_convergence_round(series, tolerance: float = 0.01,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -18,6 +19,19 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether a value is a number a float holds finitely; a bool is not."""
+    return ((is_count(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def check_reals(config) -> None:
+    """Reject a non-finite or boolean value in any float field of config."""
+    for f in fields(config):
+        if f.type in ("float", float) and not is_real(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     area_side: float = 100.0
@@ -27,18 +41,19 @@ class NetworkConfig:
     initial_energy: float = 0.5
     rng_seed: int = 42
     round_count: int = 600
-    stage_count: int = 3
+    stage_count: int = 3               # >= 2: stage 1, then one final cluster
     # Target cluster sizes for stages before the final single-cluster stage.
     stage_target_sizes: tuple = (5, 4)
     # Sink position; None means the area center.
     sink_position: Optional[tuple] = None
 
     def __post_init__(self):
-        for name in ("node_count", "packet_size_bits", "round_count",
-                     "stage_count"):
+        for name, low in (("node_count", 1), ("packet_size_bits", 1),
+                          ("round_count", 1), ("stage_count", 2)):
             value = getattr(self, name)
-            if not is_count(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            if not is_count(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        check_reals(self)
         if self.area_side <= 0:
             raise ValueError("area_side must be positive")
         if not (0.0 < self.comm_range_fraction <= 1.5):
@@ -51,8 +66,8 @@ class NetworkConfig:
                              "integers >= 2")
         sink = self.sink_position
         if sink is not None and (len(sink) != 2 or not all(
-                isinstance(v, float) or is_count(v) for v in sink)):
-            raise ValueError("sink_position must be null or two numbers")
+                is_real(v) for v in sink)):
+            raise ValueError("sink_position must be null or two finite values")
 
     @property
     def comm_range(self) -> float:
@@ -86,6 +101,7 @@ class EnergyModel:
     e_agg: float = 5e-9        # per received bit aggregated at a collector
 
     def __post_init__(self):
+        check_reals(self)
         for name in ("e_elec", "e_amp", "e_idle", "e_agg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -123,6 +123,8 @@ class LearnerPool:
                       params.replay_capacity)
             for i in node_ids
         }
+        self.tables = ([shared] if shared is not None
+                       else [a.table for a in self.agents.values()])
         # Each survivor's state after the last round's drain, which is its
         # state when the next round starts; None before round 1.
         self.next_states = None
@@ -162,11 +164,8 @@ def _observe_all(world: SimWorld, pool: LearnerPool) -> dict:
 
 def _select_actions(pool: LearnerPool, states: dict, epsilon: float, rng,
                     legal) -> dict:
-    actions = {}
-    for i in sorted(states):
-        actions[i] = select_action(pool.table_for(i), states[i], epsilon, rng,
-                                   legal)
-    return actions
+    return {i: select_action(pool.table_for(i), states[i], epsilon, rng, legal)
+            for i in sorted(states)}
 
 
 def _rl_head_selector(actions: dict, nodes: list):
@@ -218,7 +217,6 @@ def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy,
 
     stage_total = len(hierarchy.stages)
     costs = {}
-    delivered = {}
     hops = {}
     long_links = 0
     rx_one = rx_cost(bits, model)
@@ -234,11 +232,10 @@ def _account_hierarchy(world: SimWorld, hierarchy: ClusterHierarchy,
         costs[i] = costs.get(i, 0.0) + tx_cost(bits, d, model)
         if parent is not None:
             costs[parent] = costs.get(parent, 0.0) + rx_one + agg_one
-        delivered[i] = True
         hops[i] = stage_total - roles.get(i, 0) + 1
     for i in alive:
         costs[i] = costs.get(i, 0.0) + model.e_idle
-    return costs, delivered, hops, long_links
+    return costs, dict.fromkeys(alive, True), hops, long_links
 
 
 def _apply_drain(world: SimWorld, costs: dict):
@@ -257,7 +254,8 @@ def _apply_drain(world: SimWorld, costs: dict):
 def _learn(world: SimWorld, pool: LearnerPool, params: LearningParams,
            hierarchy: ClusterHierarchy, reward_total: float, states: dict,
            actions: dict, rng, round_index: int) -> float:
-    """Feed the shared round reward back to every surviving participant."""
+    """Feed the shared round reward back to every surviving participant,
+    then prune each distinct table once, after every agent has learned."""
     new_roles = hierarchy.role_map()
     counts = world.alive_neighbor_counts()
     next_states = {}
@@ -270,13 +268,10 @@ def _learn(world: SimWorld, pool: LearnerPool, params: LearningParams,
         exp = Experience(states[i], actions[i], reward_total, next_state)
         agent = pool.agents[i]
         delta = q_update(agent.table, exp, params)
-        if delta > worst:
-            worst = delta
         agent.buffer.add(agent.table.resolve(exp))
-        delta = replay_step(agent.buffer, params, rng)
-        if delta > worst:
-            worst = delta
-        prune(agent.table, params, round_index)
+        worst = max(worst, delta, replay_step(agent.buffer, params, rng))
+    for table in pool.tables:
+        prune(table, params, round_index)
     pool.next_states = next_states
     return worst
 
@@ -298,9 +293,9 @@ def _clustered_round(world: SimWorld, round_index: int, stage1,
     """The one round the four clustered strategies share.
 
     `stage1` maps the round's alive ids and chosen actions to the stage-1
-    clusters; None leaves stage 1 to build_hierarchy. `learned_heads` seats the
-    best-charged volunteer, otherwise utility seats every head. `legal` is
-    the action set agents choose from; None means nobody acts or learns.
+    clusters. `learned_heads` seats the best-charged volunteer, otherwise
+    utility seats every head. `legal` is the action set agents choose from;
+    None means nobody acts or learns.
     """
     alive = _require_alive(world)
     cfg = world.config
@@ -311,15 +306,11 @@ def _clustered_round(world: SimWorld, round_index: int, stage1,
         epsilon = decay_epsilon(params, round_index - 1)
         actions = _select_actions(pool, states, epsilon, rng, legal)
 
-    clusters = None if stage1 is None else stage1(alive, actions)
-    if learned_heads:
-        selector = _rl_head_selector(actions, world.nodes)
-    else:
-        selector = _utility_head_selector(world, weights)
+    selector = (_rl_head_selector(actions, world.nodes) if learned_heads
+                else _utility_head_selector(world, weights))
     hierarchy = build_hierarchy(
-        world.nodes, world.topology, selector,
-        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes,
-        stage1_clusters=clusters)
+        stage1(alive, actions), world.topology, selector,
+        stage_count=cfg.stage_count, stage_target_sizes=cfg.stage_target_sizes)
 
     snapshot = world.energy_snapshot()
     costs, delivered, hops, long_links = _account_hierarchy(world, hierarchy,
@@ -342,12 +333,11 @@ def run_round_full_rl(world: SimWorld, pool: LearnerPool,
                       params: LearningParams, round_index: int,
                       rng) -> RoundOutcome:
     """Learned elect-or-defer head selection over the geometric partition."""
-    # One stage is a single cluster, which build_hierarchy makes itself.
-    stage1 = (None if world.config.stage_count == 1
-              else lambda alive, _actions: world.stage1_partition(alive))
-    return _clustered_round(world, round_index, stage1, learned_heads=True,
-                            legal=FULL_RL_ACTIONS, pool=pool, params=params,
-                            rng=rng)
+    return _clustered_round(
+        world, round_index,
+        lambda alive, _actions: world.stage1_partition(alive),
+        learned_heads=True, legal=FULL_RL_ACTIONS, pool=pool, params=params,
+        rng=rng)
 
 
 def run_round_full_gt(world: SimWorld, weights: UtilityWeights,

@@ -276,11 +276,10 @@ def test_equilibrium_tree_matches_energy_argmax_when_only_energy_counts():
                   for k, (members, _h)
                   in enumerate(profile_to_clusters(result))]
         rebuilt = build_hierarchy(
-            twin.nodes, twin.topology,
+            stage1, twin.topology,
             lambda c: select_head_by_energy(c, twin.nodes),
             stage_count=cfg.stage_count,
-            stage_target_sizes=cfg.stage_target_sizes,
-            stage1_clusters=stage1)
+            stage_target_sizes=cfg.stage_target_sizes)
         got = [[(c.member_ids, c.head_id) for c in st]
                for st in outcome.hierarchy.stages]
         want = [[(c.member_ids, c.head_id) for c in st]
@@ -292,35 +291,34 @@ def test_equilibrium_tree_matches_energy_argmax_when_only_energy_counts():
 
 
 def test_reward_totals_and_single_violation_deltas():
-    def hierarchy(stages, final):
+    def hierarchy(stages):
         return ClusterHierarchy(
             stages=[[Cluster(m, h)
-                     for k, (m, h) in enumerate(stage)] for stage in stages],
-            final_transmitter=final)
+                     for k, (m, h) in enumerate(stage)] for stage in stages])
 
     e = {0: 5.0, 1: 1.0, 2: 4.0, 3: 3.0}
-    perfect = hierarchy([[([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)]], 0)
+    perfect = hierarchy([[([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)]])
     full = compute_round_reward(perfect, e, True)
     ok = full.total == 12
     assert check("an energy-argmax all-delivered round scores exactly 12", ok)
 
-    overlapped = hierarchy([[([0, 1], 0), ([1, 2, 3], 2)], [([0, 2], 0)]], 0)
+    overlapped = hierarchy([[([0, 1], 0), ([1, 2, 3], 2)], [([0, 2], 0)]])
     r = compute_round_reward(overlapped, e, True)
     ok = r.valid_clustering == 0 and r.total == 10
     assert check("an overlapping membership alone costs exactly 2", ok)
 
     e_ch = {0: 4.0, 1: 3.0, 2: 5.0, 3: 2.0}
-    weak_head = hierarchy([[([0, 1], 1), ([2, 3], 2)], [([1, 2], 2)]], 2)
+    weak_head = hierarchy([[([0, 1], 1), ([2, 3], 2)], [([1, 2], 2)]])
     r = compute_round_reward(weak_head, e_ch, True)
     ok = r.ch_selection == 1 and r.total == 10
     assert check("a beatable cluster head alone costs exactly 2", ok)
 
-    impure = hierarchy([[([0, 1], 0), ([2, 3], 2)], [([0, 3], 0)]], 0)
+    impure = hierarchy([[([0, 1], 0), ([2, 3], 2)], [([0, 3], 0)]])
     r = compute_round_reward(impure, e, True)
     ok = r.hierarchy_purity == 0 and r.total == 10
     assert check("a non-head smuggled upstairs alone costs exactly 2", ok)
 
-    skipped_best = hierarchy([[([0, 1], 0)]], 0)
+    skipped_best = hierarchy([[([0, 1], 0)]])
     r = compute_round_reward(skipped_best, {0: 4.0, 1: 3.0, 4: 9.0}, True)
     ok = r.final_transmitter == 1 and r.total == 10
     assert check("a final transmitter below the network peak alone "
@@ -356,10 +354,11 @@ def test_partition_and_hierarchy_invariants_at_scale():
             seen.extend(c.member_ids)
         assert sorted(seen) == sorted(alive)         # disjoint and covering
 
+        sizes = (rng.randint(2, 6), rng.randint(2, 4))
         hier = build_hierarchy(
-            nodes, topo, lambda c: select_head_by_energy(c, nodes),
-            stage_count=rng.randint(2, 4),
-            stage_target_sizes=(rng.randint(2, 6), rng.randint(2, 4)))
+            form_clusters(alive, topo, sizes[0]), topo,
+            lambda c: select_head_by_energy(c, nodes),
+            stage_count=rng.randint(2, 4), stage_target_sizes=sizes)
         assert (sorted(m for c in hier.stages[0] for m in c.member_ids)
                 == sorted(alive))
         sizes = []

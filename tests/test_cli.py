@@ -92,6 +92,20 @@ def test_validate_rejects_a_config_every_clustered_run_fails_on(tmp_path,
     assert "stage_target_sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("network, needle", [
+    ('{"stage_count": 1}', "stage_count must be an integer >= 2"),
+    ('{"initial_energy": NaN}', "initial_energy must be a finite number"),
+    ('{"area_side": 1e999}', "area_side must be a finite number"),
+    ('{"comm_range_fraction": true}', "comm_range_fraction must be a finite"),
+], ids=["one-stage", "nan", "overflow", "bool"])
+def test_validate_rejects_degenerate_network_values(tmp_path, capsys,
+                                                    network, needle):
+    path = tmp_path / "scenario.json"
+    path.write_text(f'{{"network": {network}}}')
+    assert main(["validate", "--config", str(path), "--quiet"]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, dict(TINY, output_dir=str(out)))

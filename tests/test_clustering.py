@@ -113,10 +113,18 @@ def test_select_head_by_energy_prefers_charge_then_low_id():
     assert select_head_by_energy(cluster, nodes) == 2
 
 
+def energy_hierarchy(nodes, topo, stage_count, sizes):
+    """The hierarchy over the geometric stage-1 partition of the alive
+    nodes, with energy-argmax heads."""
+    alive = [nd.id for nd in nodes if nd.alive]
+    return build_hierarchy(form_clusters(alive, topo, sizes[0]), topo,
+                           lambda c: select_head_by_energy(c, nodes),
+                           stage_count=stage_count, stage_target_sizes=sizes)
+
+
 def test_hierarchy_contracts_to_single_transmitter():
     nodes, topo = random_layout(21, 100)
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=3, stage_target_sizes=(5, 4))
+    h = energy_hierarchy(nodes, topo, 3, (5, 4))
     assert stage_sizes(h) == [100, 20, 5]
     assert len(h.stages[-1]) == 1
     assert h.final_transmitter == h.stages[-1][0].head_id
@@ -128,12 +136,20 @@ def test_hierarchy_contracts_to_single_transmitter():
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
 
+def test_two_stages_are_stage_one_then_its_heads():
+    nodes, topo = random_layout(21, 40)
+    h = energy_hierarchy(nodes, topo, 2, (5,))
+    assert len(h.stages) == 2
+    assert [c.member_ids for c in h.stages[1]] == [tuple(heads(h, 0))]
+    assert h.final_transmitter == h.stages[1][0].head_id
+
+
 def test_hierarchy_respects_preset_stage_one():
     nodes, topo = random_layout(8, 10)
     stage1 = [Cluster([0, 1, 2, 3, 4], 4), Cluster([5, 6, 7, 8, 9], 9)]
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=3, stage_target_sizes=(5, 4),
-                        stage1_clusters=stage1)
+    h = build_hierarchy(stage1, topo,
+                        lambda c: select_head_by_energy(c, nodes),
+                        stage_count=3, stage_target_sizes=(5, 4))
     assert heads(h, 0) == [4, 9]
     assert participants(h, 1) == [4, 9]
     assert h.final_transmitter in (4, 9)
@@ -142,38 +158,18 @@ def test_hierarchy_respects_preset_stage_one():
 def test_hierarchy_leaves_supplied_clusters_headless():
     nodes, topo = random_layout(8, 10)
     stage1 = [Cluster([0, 1, 2, 3, 4]), Cluster([5, 6, 7, 8, 9])]
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=3, stage_target_sizes=(5, 4),
-                        stage1_clusters=stage1)
+    h = build_hierarchy(stage1, topo,
+                        lambda c: select_head_by_energy(c, nodes),
+                        stage_count=3, stage_target_sizes=(5, 4))
     assert [c.head_id for c in stage1] == [None, None]
     assert [c.member_ids for c in h.stages[0]] == [c.member_ids
                                                   for c in stage1]
     assert all(c.head_id is not None for c in h.stages[0])
 
 
-def test_hierarchy_one_stage_collapses_preset_heads():
-    """With one stage, the heads of supplied clusters still contract into a
-    single cluster whose head the selector picks."""
-    nodes, topo = random_layout(8, 10)
-    stage1 = [Cluster([0, 1, 2, 3, 4], 4), Cluster([5, 6, 7, 8, 9], 9)]
-    picked = []
-
-    def selector(cluster):
-        picked.append(list(cluster.member_ids))
-        return cluster.member_ids[0]
-
-    h = build_hierarchy(nodes, topo, selector, stage_count=1,
-                        stage_target_sizes=(5,), stage1_clusters=stage1)
-    assert picked == [[4, 9]]
-    assert len(h.stages) == 2
-    assert [c.member_ids for c in h.stages[1]] == [(4, 9)]
-    assert h.final_transmitter == h.stages[1][0].head_id == 4
-
-
 def test_hierarchy_single_node_short_circuits():
     nodes, topo = random_layout(2, 1)
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=3, stage_target_sizes=(5, 4))
+    h = energy_hierarchy(nodes, topo, 3, (5, 4))
     assert h.final_transmitter == 0
     assert stage_sizes(h)[0] == 1
 
@@ -182,8 +178,7 @@ def test_hierarchy_ignores_dead_nodes():
     nodes, topo = random_layout(9, 12)
     nodes[3].energy = 0.0
     nodes[7].energy = 0.0
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=2, stage_target_sizes=(4,))
+    h = energy_hierarchy(nodes, topo, 2, (4,))
     assert 3 not in participants(h, 0)
     assert 7 not in participants(h, 0)
     assert len(participants(h, 0)) == 10
@@ -191,18 +186,14 @@ def test_hierarchy_ignores_dead_nodes():
 
 def test_hierarchy_requires_a_survivor():
     nodes, topo = random_layout(4, 3)
-    for nd in nodes:
-        nd.energy = 0.0
     with pytest.raises(NoAliveNodes):
-        build_hierarchy(nodes, topo,
-                        lambda c: select_head_by_energy(c, nodes),
+        build_hierarchy([], topo, lambda c: select_head_by_energy(c, nodes),
                         stage_count=2, stage_target_sizes=(3,))
 
 
 def test_role_and_parent_maps_agree():
     nodes, topo = random_layout(31, 30)
-    h = build_hierarchy(nodes, topo, lambda c: select_head_by_energy(c, nodes),
-                        stage_count=3, stage_target_sizes=(5, 4))
+    h = energy_hierarchy(nodes, topo, 3, (5, 4))
     roles = h.role_map()
     parents = h.parent_map()
     assert set(roles) == all_heads(h)

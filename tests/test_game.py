@@ -288,3 +288,7 @@ def test_weights_validation():
         UtilityWeights(energy_weight=-1.0)
     with pytest.raises(ValueError):
         UtilityWeights(energy_weight=0.0, distance_weight=0.0, load_weight=0.0)
+    for bad in ({"distance_weight": math.nan}, {"load_weight": math.inf},
+                {"energy_weight": True}):
+        with pytest.raises(ValueError):
+            UtilityWeights(**bad)

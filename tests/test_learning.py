@@ -161,17 +161,17 @@ def test_replay_sample_size_capped_by_buffer():
     assert buf.sample(0, random.Random(0)) == []
 
 
-def _hierarchy(stage1, stage2, final):
+def _hierarchy(stage1, stage2):
     stages = [[Cluster(m, h) for m, h in stage1],
               [Cluster(m, h) for m, h in stage2]]
-    return ClusterHierarchy(stages=stages, final_transmitter=final)
+    return ClusterHierarchy(stages=stages)
 
 
 ENERGIES = {0: 4.0, 1: 3.0, 2: 2.0, 3: 1.0}
 
 
 def test_reward_perfect_round_scores_twelve():
-    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)], 0)
+    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)])
     r = compute_round_reward(h, ENERGIES, forwarding_ok=True)
     assert r.total == 12
     assert (r.valid_clustering, r.ch_selection, r.hierarchy_purity,
@@ -179,14 +179,14 @@ def test_reward_perfect_round_scores_twelve():
 
 
 def test_reward_overlapping_clusters_lose_two():
-    h = _hierarchy([([0, 1], 0), ([1, 2, 3], 1)], [([0, 1], 0)], 0)
+    h = _hierarchy([([0, 1], 0), ([1, 2, 3], 1)], [([0, 1], 0)])
     r = compute_round_reward(h, ENERGIES, forwarding_ok=True)
     assert r.valid_clustering == 0
     assert r.total == 10
 
 
 def test_reward_weak_head_drops_three_to_one():
-    h = _hierarchy([([0, 1], 1), ([2, 3], 2)], [([1, 2], 1)], 1)
+    h = _hierarchy([([0, 1], 1), ([2, 3], 2)], [([1, 2], 1)])
     r = compute_round_reward(h, ENERGIES, forwarding_ok=True)
     assert r.ch_selection == 1
     # node 1 is also not the network maximum, so the final bonus drops too
@@ -195,14 +195,14 @@ def test_reward_weak_head_drops_three_to_one():
 
 
 def test_reward_impure_next_stage_loses_two():
-    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 3], 0)], 0)
+    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 3], 0)])
     r = compute_round_reward(h, ENERGIES, forwarding_ok=True)
     assert r.hierarchy_purity == 0
     assert r.total == 10
 
 
 def test_reward_failed_forwarding_loses_two():
-    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)], 0)
+    h = _hierarchy([([0, 1], 0), ([2, 3], 2)], [([0, 2], 0)])
     r = compute_round_reward(h, ENERGIES, forwarding_ok=False)
     assert r.data_forwarding == 0
     assert r.total == 10
@@ -273,6 +273,11 @@ def test_learning_params_validation():
         LearningParams(adaptive_learning_rate=1)
     with pytest.raises(ValueError):
         LearningParams(replay_batch=2.5)
+    for bad in ({"epsilon_decay_rate": math.nan},
+                {"epsilon_decay_rate": math.inf},
+                {"learning_rate": True}, {"epsilon_start": True}):
+        with pytest.raises(ValueError):
+            LearningParams(**bad)
 
 
 def test_benchmark_bound_learning_interface():

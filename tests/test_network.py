@@ -118,6 +118,14 @@ def test_comm_range_and_sink_defaults():
     {"node_count": 10.5},
     {"stage_count": 2.5},
     {"round_count": True},
+    {"stage_count": 1},
+    {"area_side": math.nan},
+    {"initial_energy": math.inf},
+    {"initial_energy": float("1e999")},
+    {"area_side": 10 ** 400},
+    {"comm_range_fraction": True},
+    {"sink_position": (10.0, math.nan)},
+    {"sink_position": (math.inf, 20.0)},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -125,5 +133,7 @@ def test_config_validation(kwargs):
 
 
 def test_energy_model_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        EnergyModel(e_elec=-1e-9)
+    for bad in ({"e_elec": -1e-9}, {"e_amp": math.nan}, {"e_idle": math.inf},
+                {"e_agg": True}):
+        with pytest.raises(ValueError):
+            EnergyModel(**bad)

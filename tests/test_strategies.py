@@ -102,11 +102,10 @@ def test_full_gt_equals_energy_argmax_rebuild_when_only_energy_counts():
         stage1 = [Cluster(members)
                   for members, _h in profile_to_clusters(result)]
         rebuilt = build_hierarchy(
-            world_b.nodes, world_b.topology,
+            stage1, world_b.topology,
             lambda c: select_head_by_energy(c, world_b.nodes),
             stage_count=cfg.stage_count,
-            stage_target_sizes=cfg.stage_target_sizes,
-            stage1_clusters=stage1)
+            stage_target_sizes=cfg.stage_target_sizes)
 
         got = [[(c.member_ids, c.head_id) for c in st]
                for st in outcome.hierarchy.stages]
@@ -212,17 +211,6 @@ def test_full_rl_partitions_stage_one_once_while_nobody_dies(monkeypatch):
     assert len(calls) == 1
 
 
-def test_full_rl_single_stage_is_one_cluster(monkeypatch):
-    calls = counted(monkeypatch, "form_clusters")
-    world = make_world(small_config(stage_count=1), EnergyModel())
-    pool = LearnerPool([nd.id for nd in world.nodes], QUIET)
-    outcome = run_round_full_rl(world, pool, QUIET, 1, random.Random(1))
-    assert calls == []
-    assert [[c.member_ids for c in stage]
-            for stage in outcome.hierarchy.stages] == \
-        [[tuple(world.alive_ids())]]
-
-
 LEARNING_ROUNDS = {
     "full-rl": run_round_full_rl,
     "gt-rl": lambda w, pool, p, t, rng: run_round_gt_rl(
@@ -230,6 +218,58 @@ LEARNING_ROUNDS = {
     "rl-gt": lambda w, pool, p, t, rng: run_round_rl_gt(
         w, pool, UtilityWeights(), p, t, rng),
 }
+
+
+@pytest.mark.parametrize("stage_count", [2, 3])
+@pytest.mark.parametrize("kind", ["full-gt"] + sorted(LEARNING_ROUNDS))
+def test_stage_count_means_the_same_for_every_clustered_strategy(kind,
+                                                                 stage_count):
+    """Stage 1 is the strategy's own, each later stage clusters the heads
+    before it, and stage stage_count is the one cluster left."""
+    world = make_world(small_config(node_count=40, rng_seed=1,
+                                    stage_count=stage_count), EnergyModel())
+    if kind == "full-gt":
+        outcome = run_round_full_gt(world, UtilityWeights(), 1)
+    else:
+        pool = LearnerPool([nd.id for nd in world.nodes], QUIET)
+        outcome = LEARNING_ROUNDS[kind](world, pool, QUIET, 1,
+                                        random.Random(1))
+    stages = outcome.hierarchy.stages
+    assert len(stages[0]) > 1
+    assert len(stages) == stage_count
+    for lower, upper in zip(stages, stages[1:]):
+        assert (sorted(m for c in upper for m in c.member_ids)
+                == sorted(c.head_id for c in lower))
+    assert len(stages[-1]) == 1
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_each_table_is_pruned_once_after_every_agent_learned(monkeypatch,
+                                                            shared):
+    """A pass per agent over a shared table would wipe entries that other
+    agents wrote earlier in the same round."""
+    events = []
+    for name in ("q_update", "prune"):
+        inner = getattr(strategies, name)
+
+        def wrapper(*args, _name=name, _inner=inner, **kw):
+            events.append((_name, args))
+            return _inner(*args, **kw)
+        monkeypatch.setattr(strategies, name, wrapper)
+    params = LearningParams(prune_min_visits=40, prune_window_rounds=10,
+                            shared_table=shared)
+    run = simulate(StrategyKind.FULL_RL, small_config(round_count=10),
+                   EnergyModel(), params, UtilityWeights())
+    assert [rm.alive_count for rm in run.series] == [20] * 10
+    tables = run.pool.tables
+    assert len({id(t) for t in tables}) == len(tables) == (1 if shared else 20)
+    assert {id(a.table) for a in run.pool.agents.values()} == \
+        {id(t) for t in tables}
+    names = [name for name, _args in events]
+    assert names == (["q_update"] * 20 + ["prune"] * len(tables)) * 10
+    pruned = [(id(args[0]), args[2]) for name, args in events
+              if name == "prune"]
+    assert pruned == [(id(t), r) for r in range(1, 11) for t in tables]
 
 
 @pytest.mark.parametrize("kind", sorted(LEARNING_ROUNDS))
