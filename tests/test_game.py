@@ -6,19 +6,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsn_lab import (UtilityWeights, best_response_dynamics,
-                     profile_to_clusters, select_head_by_energy,
-                     select_head_by_utility)
+from wsn_lab import (NetworkConfig, UtilityWeights, best_response_dynamics,
+                     generate_network, profile_to_clusters,
+                     select_head_by_energy, select_head_by_utility)
 from wsn_lab import game
 from wsn_lab.clustering import Cluster
 from wsn_lab.game import head_fitness_base
 from wsn_lab.network import DEFAULT_NEIGHBOR_CAP
 
 from conftest import make_nodes
-from reference_game import join_utility, mean_neighbor_distance, utility
+from reference_game import (join_utility, mean_neighbor_distance,
+                            reference_best_response, utility)
 
 
 def random_instance(seed, n=None, side=60.0):
@@ -196,6 +197,78 @@ def test_best_response_converges_well_inside_the_cap(instance):
     assert result.passes <= 10
     base = head_fitness_base(nodes, topo, w, initial_energy=1.0)
     assert _is_stable(result.profile, nodes, topo, w, base)
+
+
+# A 4 x 3 grid at 10 m spacing with energies on three levels, so that both
+# distances and head values tie.
+_GRID = [(10.0 * (k % 4), 10.0 * (k // 4)) for k in range(12)]
+_GRID_ENERGIES = [0.5, 1.0, 0.25, 1.0, 0.5, 0.5, 1.0, 0.25, 1.0, 0.5, 0.25,
+                  0.5]
+
+
+def _grid_competition(energies, weights):
+    nodes, topo = make_nodes(_GRID, energies, comm_range=25.0)
+    return nodes, topo, weights
+
+
+def _same_outcome(nodes, topo, w, initial_energy):
+    got = best_response_dynamics(nodes, topo, w,
+                                 initial_energy=initial_energy)
+    want = reference_best_response(nodes, topo, w,
+                                   initial_energy=initial_energy)
+    return (list(got.profile.items()), got.passes) == (
+        list(want.profile.items()), want.passes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(head_competitions())
+@example(_grid_competition([0.0] * 12, UtilityWeights()))
+@example(_grid_competition(_GRID_ENERGIES, UtilityWeights(0.0, 0.8, 0.1)))
+@example(_grid_competition(_GRID_ENERGIES, UtilityWeights(1.0, 0.0, 0.1)))
+@example(_grid_competition(_GRID_ENERGIES, UtilityWeights(1.0, 0.8, 0.0)))
+def test_best_response_matches_the_full_scan_oracle(instance):
+    nodes, topo, w = instance
+    assert _same_outcome(nodes, topo, w, initial_energy=1.0)
+
+
+@pytest.mark.parametrize("n, fraction, drain, weights", [
+    (300, 0.2, "full", UtilityWeights()),
+    (300, 0.5, "half", UtilityWeights()),
+    (300, 0.2, "dead", UtilityWeights()),
+    (1000, 0.1, "half", UtilityWeights()),
+    (1000, 0.2, "levels", UtilityWeights(1.0, 0.8, 0.0)),
+    (1000, 0.2, "dead", UtilityWeights()),
+])
+def test_best_response_matches_the_oracle_on_large_fields(n, fraction,
+                                                          drain, weights):
+    """Full charge, about half the nodes drained at random, 30% dead and
+    the rest drained, or every charge on one of three levels (ties)."""
+    config = NetworkConfig(node_count=n, comm_range_fraction=fraction,
+                           rng_seed=n + int(100 * fraction))
+    nodes, topo = generate_network(config)
+    rng = random.Random(n + len(drain))
+    for nd in nodes:
+        if drain == "half" and rng.random() < 0.5:
+            nd.energy *= rng.random()
+        elif drain == "dead":
+            nd.energy = 0.0 if rng.random() < 0.3 else nd.energy * rng.random()
+        elif drain == "levels":
+            nd.energy = rng.choice((0.1, 0.25, 0.5))
+    assert _same_outcome(nodes, topo, weights,
+                         initial_energy=config.initial_energy)
+
+
+def test_best_response_on_no_or_one_alive_node():
+    nodes, topo = make_nodes([(0, 0), (10, 0), (20, 0)], [0.0, 0.0, 0.0])
+    result = best_response_dynamics(nodes, topo, UtilityWeights(),
+                                    initial_energy=1.0)
+    assert (result.profile, result.passes) == ({}, 1)
+    for positions, energies in (([(0, 0)], [1.0]),
+                                ([(0, 0), (10, 0)], [1.0, 0.0])):
+        nodes, topo = make_nodes(positions, energies)
+        result = best_response_dynamics(nodes, topo, UtilityWeights(),
+                                        initial_energy=1.0)
+        assert (result.profile, result.passes) == ({0: None}, 1)
 
 
 def test_best_response_raises_at_the_pass_cap(monkeypatch):
