@@ -72,15 +72,21 @@ def best_response_dynamics(nodes: list, topology: Topology,
     count, so every voluntary switch climbs a shared potential and no
     choice is ever invalidated under a follower; the loop therefore reaches
     a fixed point. Raises RuntimeError if _MAX_PASSES passes elapse anyway.
+
+    Each node scans its neighbors nearest first and stops at distance d once
+    `e_max - du*d`, the most a head that far can be worth (load terms are
+    never negative), is strictly below its best value so far. This is exact:
+    rounding is monotone and a value computes `e_hat[c] - du*d` first, so
+    the float bound holds for every farther head; a farther head tying on
+    value is still scored; and keys (value, -id) are unique, so scan order
+    cannot change the best.
     """
     alive = sorted(nd.id for nd in nodes if nd.alive)
-    alive_set = set(alive)
     base = head_fitness_base(nodes, topology, weights,
                              initial_energy=initial_energy)
     e_hat = {i: weights.energy_weight * nodes[i].energy / initial_energy
              for i in alive}
-    reach = {i: [j for j in topology.neighbors[i] if j in alive_set]
-             for i in alive}
+    e_max = max(e_hat.values(), default=0.0)
     load_unit = weights.load_weight / DEFAULT_NEIGHBOR_CAP
     du = weights.distance_weight / topology.comm_range
 
@@ -100,11 +106,14 @@ def best_response_dynamics(nodes: list, topology: Topology,
             # energy and only feeds back through next round's fitness.
             best_choice = None
             best_key = (base[i], -i)
-            for c in reach[i]:
-                if profile[c] is not None:
+            for c in topology.neighbors[i]:
+                d = drow[c]
+                if e_max - du * d < best_key[0]:
+                    break
+                if c not in profile or profile[c] is not None:
                     continue
                 extra = 0 if current == c else 1
-                value = (e_hat[c] - du * drow[c]
+                value = (e_hat[c] - du * d
                          - load_unit * (loads[c] + extra))
                 key = (value, -c)
                 if key > best_key:

@@ -111,8 +111,11 @@ class Topology:
     """Static distance matrix plus the adjacency derived from the network's
     one radio range.
 
-    Positions never change after generation, so everything here is computed
-    once per run. Aliveness filtering happens at the call sites.
+    `neighbors[i]` lists every node within range of i, other than i, nearest
+    first; equal distances keep ascending ids, so each list is ordered by
+    (distance, id). Positions never change after generation, so everything
+    here is computed once per run. Aliveness filtering happens at the call
+    sites.
     """
 
     def __init__(self, nodes: list, comm_range: float):
@@ -126,9 +129,11 @@ class Topology:
         within = self.distance <= comm_range
         np.fill_diagonal(within, False)
         self.adjacency_matrix = within
-        self.neighbors = [
-            [int(j) for j in np.nonzero(within[i])[0]] for i in range(n)
-        ]
+        self.neighbors = []
+        for i in range(n):
+            ids = np.flatnonzero(within[i])
+            order = np.argsort(self.distance[i, ids], kind="stable")
+            self.neighbors.append(ids[order].tolist())
         self.node_count = n
 
     def dist(self, i: int, j: int) -> float:

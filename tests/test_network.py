@@ -73,6 +73,28 @@ def test_adjacency_symmetric_and_irreflexive(seed):
             assert adjacent[i, j] == (i != j and expected)
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_neighbors_are_in_range_ids_nearest_first(grid):
+    """Each list holds exactly the other in-range ids, ordered by
+    (distance, id); on a 10 m grid many distances tie."""
+    if grid:
+        nodes = [SensorNode(k, 10.0 * (k % 8), 10.0 * (k // 8), 1.0)
+                 for k in range(48)]
+        topo = Topology(nodes, 25.0)
+    else:
+        cfg = NetworkConfig(node_count=60, rng_seed=11, round_count=1,
+                            comm_range_fraction=0.4)
+        nodes, topo = generate_network(cfg)
+    for i in range(len(nodes)):
+        in_range = [j for j in range(len(nodes))
+                    if j != i and topo.dist(i, j) <= topo.comm_range]
+        expected = sorted(in_range, key=lambda j: (topo.dist(i, j), j))
+        assert topo.neighbors[i] == expected
+        assert all(type(j) is int for j in topo.neighbors[i])
+    if grid:
+        assert topo.neighbors[9][:4] == [1, 8, 10, 17]
+
+
 def test_distance_matrix_matches_geometry():
     nodes = [SensorNode(0, 0.0, 0.0, 1.0),
              SensorNode(1, 3.0, 4.0, 1.0)]

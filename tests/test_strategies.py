@@ -69,6 +69,23 @@ def test_baseline_relay_chain_costs():
                             rel_tol=1e-12), i
 
 
+def test_baseline_ignores_neighbor_order():
+    """Min-hop parents come from the sorted frontier and packet counts are
+    integer sums, so the order of each neighbor list changes nothing."""
+    config = small_config(node_count=60, comm_range_fraction=0.2)
+    forward = make_world(config, EnergyModel())
+    backward = make_world(config, EnergyModel())
+    backward.topology.neighbors = [row[::-1]
+                                   for row in backward.topology.neighbors]
+    for t in range(1, 4):
+        a = run_round_baseline(forward, t)
+        b = run_round_baseline(backward, t)
+        assert max(a.hop_counts.values()) > 2
+        assert a.delivered == b.delivered
+        assert a.hop_counts == b.hop_counts
+        assert a.energy_spent == b.energy_spent
+
+
 def test_baseline_unreachable_node_fails_delivery():
     world = hand_world([(45, 50), (90, 5)], comm_range=12.0)
     outcome = run_round_baseline(world, 1)
